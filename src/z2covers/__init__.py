@@ -64,7 +64,6 @@ from .picard import (
     PointOnP1,
     SurfaceClass,
     canonical_class,
-    class_add,
     elliptic_fiber_class,
     h0,
     intersect,
@@ -104,7 +103,6 @@ __all__ = [
     "canonical_class",
     "canonical_map_degree",
     "canonical_system",
-    "class_add",
     "compute_invariants",
     "construct_etale",
     "construct_family",

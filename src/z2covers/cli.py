@@ -1,8 +1,9 @@
 """Command line surface: construct, verify, table, sweep.
 
-Exit codes are a stable contract: 0 success, 1 verification failure,
-2 usage error, 3 file parse error.  Machine-readable reports are single
-JSON documents with a schema_version field and deterministic key order.
+Exit codes are a stable contract: 0 success, 1 verification failure or
+oracle FAIL, 2 usage error or an oracle that cannot run on the given curve,
+3 file parse error.  Machine-readable reports are single JSON documents
+with a schema_version field and deterministic key order.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ def _emit(text: str, out: str | None) -> None:
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _load(path: str) -> BuildingData:
-    with open(path, "r", encoding="utf-8") as handle:
-        return serialize.loads(handle.read())
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -158,7 +154,7 @@ def _render_verify_text(report: dict[str, Any]) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        bd = _load(args.file)
+        bd = serialize.load(args.file)
     except (OSError, serialize.FormatError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     report = verify_report(bd)
@@ -189,13 +185,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
     else:
         _emit(_render_verify_text(report), args.out)
-    passed = report["relations"]["ok"] and report["smoothness"]["snc"]
+    oracle = report.get("oracle", {"ok": True})
+    if "error" in oracle:
+        return EXIT_USAGE
+    passed = report["relations"]["ok"] and report["smoothness"]["snc"] and oracle["ok"]
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     try:
-        bd = _load(args.file)
+        bd = serialize.load(args.file)
     except (OSError, serialize.FormatError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     try:

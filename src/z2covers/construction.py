@@ -38,8 +38,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .abgroup import GroupElement, GroupSpec
-from .characters import Character, CoverElement, nontrivial_characters, pair
-from .cover import BuildingData, EllipticFiber, RationalFiber
+from .characters import Character, CoverElement, nontrivial_characters
+from .cover import BuildingData, EllipticFiber, RationalFiber, relations
 from .picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
 
 _HALVED_FIBER = re.compile(r"^F(\d+)_\1$")
@@ -173,16 +173,6 @@ class RelationRow:
     equal: bool
 
 
-_ROW_PAIRS = (
-    ("100", "100"),
-    ("100", "010"),
-    ("100", "001"),
-    ("010", "010"),
-    ("010", "001"),
-    ("001", "001"),
-)
-
-
 def _family_shape(bd: BuildingData) -> tuple[int, GroupElement]:
     """Number of halved fibers and the sum of their classes; family data only."""
     if bd.n != 3 or bd.group_spec.torsion_orders != (2, 2):
@@ -229,25 +219,23 @@ def relations_table(bd: BuildingData) -> tuple[RelationRow, ...]:
     mutated); other data cannot be rendered in family symbols.
     """
     fiber_count, halved_sum = _family_shape(bd)
+    branch = {sigma: bd.branch_class_of(sigma) for sigma in bd.elements}
+    zero = SurfaceClass.zero(bd.group_spec)
+    # Pairs of generators 100, 010, 001 from the top; the table reads (lower, higher).
+    generator_rows = sorted(
+        (r for r in relations(bd.n) if sum(r.chi.bits) == sum(r.chi_prime.bits) == 1),
+        key=lambda r: (r.chi_prime, r.chi),
+        reverse=True,
+    )
     rows = []
-    for s_chi, s_chi_prime in _ROW_PAIRS:
-        chi = Character.from_string(s_chi)
-        chi_prime = Character.from_string(s_chi_prime)
-        lhs = bd.L[chi] + bd.L[chi_prime]
-        rhs = SurfaceClass.zero(bd.group_spec)
-        middle: list[str] = []
-        for sigma in bd.elements:
-            if pair(chi, sigma) == -1 and pair(chi_prime, sigma) == -1:
-                rhs = rhs + bd.branch_class_of(sigma)
-                if bd.branch(sigma):
-                    middle.append(f"D{sigma}")
-        if chi != chi_prime:
-            product = chi * chi_prime
-            rhs = rhs + bd.L[product]
-            middle.append(f"L{product}")
+    for r in generator_rows:
+        lhs, rhs = r.sides(bd.L, branch, zero)
+        middle = [f"D{sigma}" for sigma in r.sigmas if bd.branch(sigma)]
+        if r.product is not None:
+            middle.append(f"L{r.product}")
         rows.append(
             RelationRow(
-                (f"L{chi}", f"L{chi_prime}"),
+                (f"L{r.chi_prime}", f"L{r.chi}"),
                 tuple(middle),
                 _symbolize(rhs, fiber_count, halved_sum),
                 lhs,

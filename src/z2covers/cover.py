@@ -13,6 +13,10 @@ where L of the trivial character is read as the zero class.  The pair
 condition with chi = chi' specialises to 2 L_chi == sum over chi(sigma) = -1,
 the "diagonal" relations.
 
+:func:`relations` is the single source of these relations, one row per
+pair; every consumer (the verifier, the generator completion, the family's
+relations table, the curve oracle) evaluates those rows in its own arithmetic.
+
 Branch components here are always whole fibers of one of the two rulings.
 That restriction keeps the smoothness criterion purely combinatorial:
 fibers of the same ruling are disjoint once they are distinct, and fibers
@@ -25,9 +29,11 @@ distinct degree-zero classes.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 from .abgroup import GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters, nontrivial_elements, pair
@@ -167,6 +173,54 @@ class BuildingData:
             total = total + self.branch_class_of(sigma)
         return total
 
+    @cached_property
+    def verification(self) -> VerificationReport:
+        """The report of :func:`verify_relations`, computed once per instance."""
+        table = relations(self.n)
+        branch = {sigma: self.branch_class_of(sigma) for sigma in self.elements}
+        zero = SurfaceClass.zero(self.group_spec)
+        failures = []
+        for r in table:
+            lhs, rhs = r.sides(self.L, branch, zero)
+            if lhs != rhs:
+                failures.append(RelationFailure(r.chi, r.chi_prime, lhs, rhs))
+        trivial = tuple(chi for chi in self.characters if self.L[chi].is_zero())
+        ok = not failures and not trivial
+        return VerificationReport(ok, len(table), tuple(failures), trivial)
+
+
+@dataclass(frozen=True)
+class Relation:
+    """L_chi + L_chi' == L_product + sum of D_sigma over ``sigmas``, the sigma
+    with chi(sigma) = chi'(sigma) = -1; ``product`` is None when trivial."""
+
+    chi: Character
+    chi_prime: Character
+    product: Character | None
+    sigmas: tuple[CoverElement, ...]
+
+    def branch_sum(self, D: Mapping, start: Any, add=operator.add) -> Any:
+        return reduce(add, (D[sigma] for sigma in self.sigmas), start)
+
+    def sides(self, L: Mapping, D: Mapping, zero: Any, add=operator.add) -> tuple[Any, Any]:
+        """(lhs, rhs) in the arithmetic of the values of L and D, whose sum is
+        ``add``.  The class of the trivial character reads as ``zero``."""
+        rhs = self.branch_sum(D, zero if self.product is None else L[self.product], add)
+        return add(L[self.chi], L[self.chi_prime]), rhs
+
+
+@lru_cache(maxsize=None)
+def relations(n: int) -> tuple[Relation, ...]:
+    """One relation per unordered pair of nontrivial characters, diagonal
+    included, in lexicographic pair order."""
+    elements = nontrivial_elements(n)
+    table = []
+    for chi, chi_prime in itertools.combinations_with_replacement(nontrivial_characters(n), 2):
+        product = chi * chi_prime
+        sigmas = tuple(s for s in elements if pair(chi, s) == pair(chi_prime, s) == -1)
+        table.append(Relation(chi, chi_prime, None if product.is_trivial() else product, sigmas))
+    return tuple(table)
+
 
 @dataclass(frozen=True)
 class RelationFailure:
@@ -196,25 +250,10 @@ def verify_relations(bd: BuildingData) -> VerificationReport:
     """Check every unordered pair of nontrivial characters, diagonal included.
 
     Pairs are processed and reported in lexicographic order, so the report
-    is deterministic.
+    is deterministic.  The data is immutable, so the check runs once per
+    instance; later calls read the memo :attr:`BuildingData.verification`.
     """
-    chars = bd.characters
-    trivial = tuple(chi for chi in chars if bd.L[chi].is_zero())
-    branch_classes = {sigma: bd.branch_class_of(sigma) for sigma in bd.elements}
-    failures = []
-    pairs = 0
-    for chi, chi_prime in itertools.combinations_with_replacement(chars, 2):
-        pairs += 1
-        lhs = bd.L[chi] + bd.L[chi_prime]
-        product = chi * chi_prime
-        rhs = SurfaceClass.zero(bd.group_spec) if product.is_trivial() else bd.L[product]
-        for sigma in bd.elements:
-            if pair(chi, sigma) == -1 and pair(chi_prime, sigma) == -1:
-                rhs = rhs + branch_classes[sigma]
-        if lhs != rhs:
-            failures.append(RelationFailure(chi, chi_prime, lhs, rhs))
-    ok = not failures and not trivial
-    return VerificationReport(ok, pairs, tuple(failures), trivial)
+    return bd.verification
 
 
 @dataclass(frozen=True)
@@ -271,51 +310,37 @@ def derive_from_generators(
 ) -> BuildingData:
     """Complete the three generator classes of a Z_2^3 cover to full data.
 
-    The diagonal relation 2 L_chi == sum of D_sigma over chi(sigma) = -1
-    must hold for each of the three generator characters; the four mixed
-    classes are then forced:
+    Every other class is forced by the relation of chi.e with e, for a
+    generator e in chi:
 
-        L_{chi.chi'} = L_chi + L_chi' - sum of D_sigma over the sigma
-                       with chi(sigma) = chi'(sigma) = -1.
+        L_chi = L_e + L_{chi.e} - sum of D_sigma over the sigma
+                with e(sigma) = (chi.e)(sigma) = -1.
 
-    The completed data is re-verified in full and a ConsistencyError is
-    raised if any residual relation fails.
+    The completed data is verified in full.  A ConsistencyError is raised
+    if the diagonal relation 2 L_e == sum of D_sigma over e(sigma) = -1
+    fails for a generator character e, or if any residual relation fails.
     """
     generators = {
         Character.from_string("100"): l100,
         Character.from_string("010"): l010,
         Character.from_string("001"): l001,
     }
-    sigmas = nontrivial_elements(3)
-    branch = {sigma: tuple(branch.get(sigma, ())) for sigma in sigmas}
-
-    def branch_sum(chi: Character, chi_prime: Character) -> SurfaceClass:
-        total = SurfaceClass.zero(group_spec)
-        for sigma in sigmas:
-            if pair(chi, sigma) == -1 and pair(chi_prime, sigma) == -1:
-                total = total + branch_class(branch[sigma], group_spec)
-        return total
-
-    diagonal_failures = []
-    for chi, cls in generators.items():
-        lhs = cls + cls
-        rhs = branch_sum(chi, chi)
-        if lhs != rhs:
-            diagonal_failures.append(RelationFailure(chi, chi, lhs, rhs))
-    if diagonal_failures:
-        raise ConsistencyError(
-            "diagonal relation fails for a generator character", diagonal_failures
-        )
-
+    branch = {sigma: tuple(branch.get(sigma, ())) for sigma in nontrivial_elements(3)}
+    branch_classes = {sigma: branch_class(comps, group_spec) for sigma, comps in branch.items()}
+    zero = SurfaceClass.zero(group_spec)
+    # With e the highest generator in chi, the row (chi.e, e) comes after
+    # every row that completes chi.e, so one pass in table order suffices.
     L = dict(generators)
-    chi100, chi010, chi001 = generators
-    for chi, chi_prime in [(chi100, chi010), (chi100, chi001), (chi010, chi001)]:
-        L[chi * chi_prime] = L[chi] + L[chi_prime] - branch_sum(chi, chi_prime)
-    chi011 = Character.from_string("011")
-    L[chi100 * chi011] = L[chi100] + L[chi011] - branch_sum(chi100, chi011)
+    for r in relations(3):
+        completes = r.chi in L and r.chi_prime in generators and r.product is not None
+        if completes and r.product not in L:
+            L[r.product] = L[r.chi] + L[r.chi_prime] - r.branch_sum(branch_classes, zero)
 
     bd = BuildingData(3, group_spec, dict(points_c), tuple(points_p1), L, branch)
     report = verify_relations(bd)
+    diagonal = [f for f in report.failures if f.chi == f.chi_prime and f.chi in generators]
+    if diagonal:
+        raise ConsistencyError("diagonal relation fails for a generator character", diagonal)
     if not report.ok:
         raise ConsistencyError(
             "completed data violates a residual relation",

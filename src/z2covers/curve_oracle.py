@@ -22,11 +22,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 
 from .abgroup import GroupElement
-from .characters import Character, pair
-from .cover import BuildingData, RationalFiber
+from .characters import Character
+from .cover import BranchComponent, BuildingData, RationalFiber, relations
 
 MAX_EXHAUSTIVE_PRIME = 10_000
 
@@ -216,26 +217,17 @@ class RealizationReport:
 
 
 class _Realizer:
-    """Memoized evaluation of abstract elements as curve points."""
+    """Evaluation of abstract elements as curve points."""
 
     def __init__(self, curve: CurveOverFp, assignment: Assignment):
         self.curve = curve
-        self.assignment = assignment
-        self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], CurvePoint] = {}
+        self.images = (*assignment.free_points, *assignment.torsion_points)
 
     def __call__(self, element: GroupElement) -> CurvePoint:
-        key = (element.free, element.tors)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         total = INFINITY
-        for k, point in zip(element.free, self.assignment.free_points):
+        for k, point in zip((*element.free, *element.tors), self.images):
             if k:
                 total = self.curve.add(total, self.curve.scale(k, point))
-        for k, point in zip(element.tors, self.assignment.torsion_points):
-            if k:
-                total = self.curve.add(total, self.curve.scale(k, point))
-        self._cache[key] = total
         return total
 
 
@@ -289,36 +281,30 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
         if realized[p1.label] == realized[p2.label]:
             collisions.append((p1.label, p2.label))
 
-    relation_failures = []
-    checked = 0
-    for chi, chi_prime in itertools.combinations_with_replacement(bd.characters, 2):
-        checked += 1
-        lhs_cls, rhs_cls = bd.L[chi], bd.L[chi_prime]
-        lhs_point = curve.add(phi(lhs_cls.c.pic0), phi(rhs_cls.c.pic0))
-        lhs_a = lhs_cls.a + rhs_cls.a
-        lhs_degree = lhs_cls.c.degree + rhs_cls.c.degree
+    # (E-coefficient, degree, point) triples: phi maps each class and branch
+    # component on its own, never a sum formed in the group model.
+    def add(u: tuple, v: tuple) -> tuple:
+        return u[0] + v[0], u[1] + v[1], curve.add(u[2], v[2])
 
-        product = chi * chi_prime
-        if product.is_trivial():
-            rhs_point, rhs_a, rhs_degree = INFINITY, 0, 0
-        else:
-            cls = bd.L[product]
-            rhs_point, rhs_a, rhs_degree = phi(cls.c.pic0), cls.a, cls.c.degree
-        for sigma in bd.elements:
-            if pair(chi, sigma) == -1 and pair(chi_prime, sigma) == -1:
-                for comp in bd.branch(sigma):
-                    if isinstance(comp, RationalFiber):
-                        rhs_point = curve.add(rhs_point, phi(comp.point.aj))
-                        rhs_degree += 1
-                    else:
-                        rhs_a += 1
-        if (lhs_a, lhs_degree, lhs_point) != (rhs_a, rhs_degree, rhs_point):
-            relation_failures.append((chi, chi_prime))
+    def component(comp: BranchComponent) -> tuple:
+        if isinstance(comp, RationalFiber):
+            return 0, 1, realized[comp.label]
+        return 1, 0, INFINITY
+
+    zero = (0, 0, INFINITY)
+    L = {chi: (cls.a, cls.c.degree, phi(cls.c.pic0)) for chi, cls in bd.L.items()}
+    D = {sigma: reduce(add, map(component, bd.branch(sigma)), zero) for sigma in bd.elements}
+    table = relations(bd.n)
+    relation_failures = []
+    for r in table:
+        lhs, rhs = r.sides(L, D, zero, add)
+        if lhs != rhs:
+            relation_failures.append((r.chi, r.chi_prime))
 
     ok = torsion_faithful and not collisions and not relation_failures
     return RealizationReport(
         ok,
-        checked,
+        len(table),
         tuple(relation_failures),
         not collisions,
         tuple(collisions),

@@ -150,10 +150,6 @@ def canonical_class(spec: GroupSpec) -> SurfaceClass:
     return SurfaceClass(-2, CurveClass.zero(spec))
 
 
-def class_add(u: SurfaceClass, v: SurfaceClass) -> SurfaceClass:
-    return u + v
-
-
 def intersect(u: SurfaceClass, v: SurfaceClass) -> int:
     """Intersection number; only the two degrees enter."""
     return u.a * v.c.degree + v.a * u.c.degree

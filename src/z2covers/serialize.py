@@ -14,7 +14,8 @@ A building-data document is a single JSON object:
 Characters and group elements are keyed by their bit strings.  Emission is
 canonical: keys sorted, two-space indent, trailing newline, every branch
 index present even when empty.  Parsing tolerates missing branch indices
-(read as empty) and rejects everything else malformed with FormatError.
+(read as empty) and rejects everything else malformed with FormatError;
+rank, torsion orders, a, degree and tors entries must be JSON integers.
 """
 
 from __future__ import annotations
@@ -34,13 +35,19 @@ class FormatError(ValueError):
     """The document does not follow the building-data file format."""
 
 
+def _integer(value: Any, field: str) -> int:
+    if type(value) is not int:  # bool, float and str are refused, not converted
+        raise FormatError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
 def element_to_dict(element: GroupElement) -> dict[str, Any]:
     return {"free": list(element.free), "tors": list(element.tors)}
 
 
 def element_from_dict(doc: Any, spec: GroupSpec) -> GroupElement:
     try:
-        return spec.element(tuple(doc["free"]), tuple(doc["tors"]))
+        return spec.element(tuple(doc["free"]), tuple(_integer(t, "tors") for t in doc["tors"]))
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"bad group element: {exc}") from exc
 
@@ -56,8 +63,8 @@ def surface_class_to_dict(cls: SurfaceClass) -> dict[str, Any]:
 def surface_class_from_dict(doc: Any, spec: GroupSpec) -> SurfaceClass:
     try:
         return SurfaceClass(
-            int(doc["a"]),
-            CurveClass(int(doc["degree"]), element_from_dict(doc["pic0"], spec)),
+            _integer(doc["a"], "a"),
+            CurveClass(_integer(doc["degree"], "degree"), element_from_dict(doc["pic0"], spec)),
         )
     except (TypeError, KeyError) as exc:
         raise FormatError(f"bad surface class: {exc}") from exc
@@ -92,8 +99,8 @@ def building_data_from_dict(doc: Any) -> BuildingData:
         raise FormatError(f"unsupported schema_version {doc.get('schema_version')!r}")
     try:
         spec = GroupSpec(
-            int(doc["group_spec"]["rank"]),
-            tuple(int(m) for m in doc["group_spec"]["torsion"]),
+            _integer(doc["group_spec"]["rank"], "rank"),
+            tuple(_integer(m, "torsion order") for m in doc["group_spec"]["torsion"]),
         )
         points_c = {
             label: PointOnC(label, element_from_dict(entry, spec))

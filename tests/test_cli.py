@@ -1,9 +1,11 @@
 """Command line contract: exit codes, reports, round trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from z2covers import cli
 from z2covers.cli import main, verify_report
 from z2covers.construction import construct_family, single_torsion_mutations
 from z2covers.serialize import dumps, loads
@@ -94,6 +96,39 @@ class TestVerify:
         assert report["oracle"]["ok"] is True
         assert report["oracle"]["order"] == 2004
         assert report["oracle"]["relations_checked"] == 28
+
+    def test_non_integer_field_is_a_parse_error(self, family_file, capsys):
+        doc = json.loads(family_file.read_text())
+        doc["L"]["110"]["a"] = 2.9
+        family_file.write_text(json.dumps(doc))
+        assert main(["verify", str(family_file)]) == 3
+        assert "JSON integer" in capsys.readouterr().err
+
+    def test_oracle_fail_is_a_verification_failure(self, family_file, monkeypatch, capsys):
+        real = cli.realize
+        monkeypatch.setattr(cli, "realize", lambda *args: replace(real(*args), ok=False))
+        assert main(["verify", str(family_file), "--oracle", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["relations"]["ok"] is True
+        assert report["oracle"]["ok"] is False
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--oracle-a", "0", "--oracle-b", "0"],  # singular curve
+            ["--oracle-prime", "5"],  # no room for the family's coefficients
+            ["--oracle-prime", "9"],  # not a prime
+        ],
+    )
+    def test_oracle_that_cannot_run_is_a_usage_error(self, family_file, flags, capsys):
+        assert main(["verify", str(family_file), "--oracle", "--format", "json", *flags]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["relations"]["ok"] is True
+        assert "error" in report["oracle"]
+
+    def test_oracle_on_a_mutant_is_a_verification_failure(self, mutated_file, capsys):
+        assert main(["verify", str(mutated_file), "--oracle", "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["oracle"]["ok"] is False
 
 
 class TestTable:

@@ -96,3 +96,51 @@ def test_emission_is_sorted_and_newline_terminated():
     assert text.endswith("\n")
     doc = json.loads(text)
     assert list(doc) == sorted(doc)
+
+
+# Integer fields take JSON integers only.  Each encoding below writes the
+# right value in another JSON type, which the parser must refuse, not convert.
+NOT_INTEGERS = [float, str, lambda v: v + 0.9, bool]
+ENCODING_IDS = ["float", "string", "fraction", "bool"]
+
+
+def _assert_rejected(doc):
+    with pytest.raises(FormatError):
+        loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize("encode", NOT_INTEGERS, ids=ENCODING_IDS)
+def test_rank_must_be_an_integer(encode):
+    doc = building_data_to_dict(construct_family(3))
+    doc["group_spec"]["rank"] = encode(doc["group_spec"]["rank"])
+    _assert_rejected(doc)
+
+
+@pytest.mark.parametrize("encode", NOT_INTEGERS, ids=ENCODING_IDS)
+def test_torsion_orders_must_be_integers(encode):
+    doc = building_data_to_dict(construct_family(3))
+    doc["group_spec"]["torsion"][1] = encode(doc["group_spec"]["torsion"][1])
+    _assert_rejected(doc)
+
+
+@pytest.mark.parametrize("encode", NOT_INTEGERS, ids=ENCODING_IDS)
+def test_a_must_be_an_integer(encode):
+    doc = building_data_to_dict(construct_family(3))
+    doc["L"]["110"]["a"] = encode(doc["L"]["110"]["a"])
+    _assert_rejected(doc)
+
+
+@pytest.mark.parametrize("encode", NOT_INTEGERS, ids=ENCODING_IDS)
+def test_degree_must_be_an_integer(encode):
+    doc = building_data_to_dict(construct_family(3))
+    doc["L"]["100"]["degree"] = encode(doc["L"]["100"]["degree"])
+    _assert_rejected(doc)
+
+
+@pytest.mark.parametrize("encode", NOT_INTEGERS, ids=ENCODING_IDS)
+@pytest.mark.parametrize("where", ["points_c", "L"])
+def test_tors_entries_must_be_integers(encode, where):
+    doc = building_data_to_dict(construct_family(3))
+    tors = doc["points_c"]["F1"]["tors"] if where == "points_c" else doc["L"]["110"]["pic0"]["tors"]
+    tors[0] = encode(tors[0])
+    _assert_rejected(doc)
