@@ -14,6 +14,7 @@ elements with first coordinate 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 MAX_BITS = 8
 
@@ -106,6 +107,7 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be between 1 and {MAX_BITS}")
 
 
+@lru_cache(maxsize=None)
 def nontrivial_characters(n: int) -> tuple[Character, ...]:
     """The 2^n - 1 nonzero characters, in lexicographic bit order."""
     _check_n(n)
@@ -115,6 +117,7 @@ def nontrivial_characters(n: int) -> tuple[Character, ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def nontrivial_elements(n: int) -> tuple[CoverElement, ...]:
     """The 2^n - 1 nonzero group elements, in lexicographic bit order."""
     _check_n(n)
@@ -124,6 +127,7 @@ def nontrivial_elements(n: int) -> tuple[CoverElement, ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def elements(n: int) -> tuple[CoverElement, ...]:
     """All 2^n group elements including zero, in lexicographic bit order."""
     _check_n(n)

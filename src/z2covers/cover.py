@@ -273,20 +273,12 @@ class SmoothnessReport:
 
 
 def verify_smoothness(bd: BuildingData) -> SmoothnessReport:
-    seen: set[tuple[str, str]] = set()
-    reduced = True
-    for sigma in bd.elements:
-        for comp in bd.branch(sigma):
-            key = (comp.kind, comp.label)
-            if key in seen:
-                reduced = False
-            seen.add(key)
-
-    injective = True
-    points = sorted(bd.points_c.values(), key=lambda p: p.label)
-    for p, q in itertools.combinations(points, 2):
-        if p.aj == q.aj:
-            injective = False
+    """One pass over the components and one over the points: each set
+    collapses exactly the duplicates a comparison of all pairs would find."""
+    components = [(comp.kind, comp.label) for sigma in bd.elements for comp in bd.branch(sigma)]
+    reduced = len(set(components)) == len(components)
+    classes = [point.aj for point in bd.points_c.values()]
+    injective = len(set(classes)) == len(classes)
     return SmoothnessReport(reduced, reduced and injective, injective)
 
 

@@ -74,6 +74,7 @@ class CurveOverFp:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0 mod p")
         self._points: tuple[CurvePoint, ...] | None = None
         self._structure: tuple[int, tuple[int, int]] | None = None
+        self._orders: dict[CurvePoint, int] = {}
 
     def __repr__(self) -> str:
         return f"y^2 = x^3 + {self.a}x + {self.b} over F_{self.p}"
@@ -144,12 +145,18 @@ class CurveOverFp:
         return len(self.points())
 
     def point_order(self, point: CurvePoint) -> int:
-        """Order of a point, reduced from the group order prime by prime."""
-        n = self.order()
-        order = n
-        for q in _prime_factors(n):
-            while order % q == 0 and self.scale(order // q, point).is_infinity:
-                order //= q
+        """Order of a point, reduced from the group order prime by prime.
+
+        Computed once per point: group_structure and find_assignment read
+        the same orders.
+        """
+        order = self._orders.get(point)
+        if order is None:
+            n = order = self.order()
+            for q in _prime_factors(n):
+                while order % q == 0 and self.scale(order // q, point).is_infinity:
+                    order //= q
+            self._orders[point] = order
         return order
 
     def group_structure(self) -> tuple[int, tuple[int, int]]:

@@ -24,6 +24,7 @@ map is the composition of the degree-2^n cover with the map of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .characters import Character, CoverElement, pair
@@ -53,7 +54,8 @@ class CoverInvariants:
             raise ValueError("q, p_g and chi(O) violate the surface identity")
         if self.k_squared % 2:
             raise ValueError("K^2 of a cover of this base must be even")
-        object.__setattr__(self, "h0_by_character", dict(self.h0_by_character))
+        # Read-only: compute_invariants hands the same instance to every caller.
+        object.__setattr__(self, "h0_by_character", MappingProxyType(dict(self.h0_by_character)))
 
 
 def _require_verified(bd: BuildingData) -> None:
@@ -67,7 +69,18 @@ def _require_verified(bd: BuildingData) -> None:
 
 
 def compute_invariants(bd: BuildingData) -> CoverInvariants:
-    """Evaluate the invariant formulas.  Refuses unverified data."""
+    """Evaluate the invariant formulas.  Refuses unverified data.
+
+    The data is immutable, so the result is kept on the instance, as
+    :attr:`BuildingData.verification` is, and later calls read it; a
+    refusal is not kept and is raised again on every call.
+    """
+    if "_invariants" not in bd.__dict__:
+        bd.__dict__["_invariants"] = _evaluate(bd)
+    return bd.__dict__["_invariants"]
+
+
+def _evaluate(bd: BuildingData) -> CoverInvariants:
     _require_verified(bd)
     ky = canonical_class(bd.group_spec)
     s = 2 * ky + bd.total_branch_class()

@@ -15,7 +15,14 @@ Characters and group elements are keyed by their bit strings.  Emission is
 canonical: keys sorted, two-space indent, trailing newline, every branch
 index present even when empty.  Parsing tolerates missing branch indices
 (read as empty) and rejects everything else malformed with FormatError;
-rank, torsion orders, a, degree and tors entries must be JSON integers.
+rank, torsion orders, a, degree, free and tors entries must be JSON
+integers, and no float, NaN or Infinity is accepted anywhere.
+
+:func:`dumps` writes the canonical text itself, byte for byte what
+``json.dumps(doc, sort_keys=True, indent=2)`` writes, but each flat list of
+integers (every ``free`` and ``tors``) in one C-level join: the standard
+library's indenting encoder is pure Python and walks those lists one
+integer at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +54,11 @@ def element_to_dict(element: GroupElement) -> dict[str, Any]:
 
 def element_from_dict(doc: Any, spec: GroupSpec) -> GroupElement:
     try:
-        return spec.element(tuple(doc["free"]), tuple(_integer(t, "tors") for t in doc["tors"]))
+        free = tuple(doc["free"])
+        if not set(map(type, free)) <= {int}:  # one C-level pass; bool is not int here
+            bad = next(v for v in free if type(v) is not int)
+            raise FormatError(f"free coordinates must be JSON integers, got {bad!r}")
+        return spec.element(free, tuple(_integer(t, "tors") for t in doc["tors"]))
     except (TypeError, KeyError, ValueError) as exc:
         raise FormatError(f"bad group element: {exc}") from exc
 
@@ -139,13 +150,43 @@ def building_data_from_dict(doc: Any) -> BuildingData:
         raise FormatError(f"malformed building data: {exc}") from exc
 
 
+def _encode(value: Any, pad: str, out: list[str]) -> None:
+    """Append the canonical text of ``value`` to ``out``; ``pad`` is the
+    indentation of the line the value starts on."""
+    if type(value) is dict and value:
+        brackets, items = "{}", ((json.dumps(key) + ": ", value[key]) for key in sorted(value))
+    elif type(value) is list and value:
+        if set(map(type, value)) <= {int}:  # every free and tors list: one C-level join
+            inner = pad + "  "
+            out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{pad}]")
+            return
+        brackets, items = "[]", (("", item) for item in value)
+    else:  # a scalar, or an empty list or object
+        out.append(json.dumps(value))
+        return
+    inner = pad + "  "
+    sep = brackets[0] + "\n"
+    for prefix, item in items:
+        out.append(sep + inner + prefix)
+        _encode(item, inner, out)
+        sep = ",\n"
+    out.append(f"\n{pad}{brackets[1]}")
+
+
 def dumps(bd: BuildingData) -> str:
-    return json.dumps(building_data_to_dict(bd), sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _encode(building_data_to_dict(bd), "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _refuse(token: str) -> None:
+    raise FormatError(f"{token} is not a JSON integer; the format has no floats")
 
 
 def loads(text: str) -> BuildingData:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_refuse, parse_constant=_refuse)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     return building_data_from_dict(doc)

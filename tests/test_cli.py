@@ -104,6 +104,15 @@ class TestVerify:
         assert main(["verify", str(family_file)]) == 3
         assert "JSON integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_non_integer_free_coordinate_is_a_parse_error(self, family_file, value, capsys):
+        doc = json.loads(family_file.read_text())
+        assert doc["points_c"]["F1"]["free"][3] == 1
+        doc["points_c"]["F1"]["free"][3] = value
+        family_file.write_text(json.dumps(doc))
+        assert main(["verify", str(family_file)]) == 3
+        assert "error" in capsys.readouterr().err
+
     def test_oracle_fail_is_a_verification_failure(self, family_file, monkeypatch, capsys):
         real = cli.realize
         monkeypatch.setattr(cli, "realize", lambda *args: replace(real(*args), ok=False))

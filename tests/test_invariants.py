@@ -7,6 +7,7 @@ import pytest
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, CoverElement, nontrivial_characters
 from z2covers.construction import construct_etale, construct_family
+from z2covers import invariants
 from z2covers.cover import BuildingData, EllipticFiber, verify_relations
 from z2covers.invariants import (
     canonical_map_degree,
@@ -51,6 +52,18 @@ class TestComputeInvariants:
         )
         with pytest.raises(ValueError):
             compute_invariants(replace(bd, L=broken))
+
+    def test_computed_once_per_data_instance(self, monkeypatch):
+        evaluated = []
+        real = invariants._evaluate
+        monkeypatch.setattr(invariants, "_evaluate", lambda bd: evaluated.append(bd) or real(bd))
+        bd = construct_family(4)
+        first = compute_invariants(bd)
+        assert canonical_map_degree(bd).degree == 8
+        assert compute_invariants(bd) is first
+        assert evaluated == [bd]
+        assert compute_invariants(construct_family(4)) == first
+        assert len(evaluated) == 2
 
     def test_surface_identity_holds(self):
         for n in (2, 3, 6):

@@ -144,3 +144,31 @@ def test_tors_entries_must_be_integers(encode, where):
     tors = doc["points_c"]["F1"]["tors"] if where == "points_c" else doc["L"]["110"]["pic0"]["tors"]
     tors[0] = encode(tors[0])
     _assert_rejected(doc)
+
+
+# Free coordinates are checked once per list.  JSON's float tokens, NaN and
+# Infinity never reach the checks: the parser refuses them outright.
+NOT_FREE_INTEGERS = NOT_INTEGERS + [
+    lambda v: None,
+    lambda v: float("nan"),
+    lambda v: float("inf"),
+    lambda v: float("-inf"),
+    lambda v: [v],
+]
+FREE_ENCODING_IDS = ENCODING_IDS + ["null", "nan", "infinity", "minus-infinity", "list"]
+
+
+@pytest.mark.parametrize("encode", NOT_FREE_INTEGERS, ids=FREE_ENCODING_IDS)
+@pytest.mark.parametrize("where", ["points_c", "L"])
+def test_free_entries_must_be_integers(encode, where):
+    doc = building_data_to_dict(construct_family(3))
+    free = doc["points_c"]["F1"]["free"] if where == "points_c" else doc["L"]["110"]["pic0"]["free"]
+    free[3] = encode(free[3])
+    _assert_rejected(doc)
+
+
+@pytest.mark.parametrize("token", ["1.0", "1e0", "NaN", "Infinity", "-Infinity"])
+def test_float_tokens_are_refused_by_the_parser(token):
+    text = dumps(construct_family(2)).replace('"schema_version": 1', f'"schema_version": {token}')
+    with pytest.raises(FormatError, match="no floats"):
+        loads(text)
