@@ -7,6 +7,12 @@ models Pic^0 faithfully for every equivalence test we need, provided the
 arithmetic is exact: free coordinates are unbounded Python integers and
 torsion coordinates are kept reduced to the range [0, m_i).
 
+The free part is stored sparsely, as its nonzero coordinates only: the
+family's points each involve one or two of its 2n+1 free generators, so
+arithmetic costs O(nonzeros + number of torsion factors), not O(rank).
+Only the dense constructor :meth:`GroupSpec.element` and the dense view
+``free`` touch every coordinate.
+
 Everything here is immutable and hashable; operations are pure functions,
 so values can be shared freely between threads or tasks.
 """
@@ -14,7 +20,9 @@ so values can be shared freely between threads or tasks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import KW_ONLY, dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -32,24 +40,43 @@ class GroupSpec:
             raise ValueError("torsion orders must all be >= 2")
 
     def element(self, free=(), tors=()) -> "GroupElement":
-        return GroupElement(self, tuple(free), tuple(tors))
+        """The element with dense free coordinates ``free`` and torsion
+        coordinates ``tors`` (reduced here)."""
+        free = tuple(free)
+        tors = tuple(tors)
+        if len(free) != self.rank:
+            raise ValueError(f"free part has length {len(free)}, expected {self.rank}")
+        if len(tors) != len(self.torsion_orders):
+            raise ValueError(
+                f"torsion part has length {len(tors)}, "
+                f"expected {len(self.torsion_orders)}"
+            )
+        terms = []
+        i = 0
+        for v in filter(None, free):  # the nonzero coordinates; both scans run in C
+            i = free.index(v, i)
+            terms.append((i, v))
+            i += 1
+        return GroupElement(self, terms=tuple(terms), tors=self._reduce(tors))
+
+    def _reduce(self, tors: Iterable[int]) -> tuple[int, ...]:
+        return tuple(map(operator.mod, tors, self.torsion_orders))
 
     def zero(self) -> "GroupElement":
-        return self.element((0,) * self.rank, (0,) * len(self.torsion_orders))
+        return GroupElement(self, terms=(), tors=(0,) * len(self.torsion_orders))
 
     def free_generator(self, i: int) -> "GroupElement":
         """Standard basis vector of the free part."""
         if not 0 <= i < self.rank:
             raise IndexError(f"free generator index {i} out of range")
-        free = tuple(1 if j == i else 0 for j in range(self.rank))
-        return self.element(free, (0,) * len(self.torsion_orders))
+        return GroupElement(self, terms=((i, 1),), tors=(0,) * len(self.torsion_orders))
 
     def torsion_generator(self, j: int) -> "GroupElement":
         """Generator of the j-th cyclic torsion factor."""
         if not 0 <= j < len(self.torsion_orders):
             raise IndexError(f"torsion generator index {j} out of range")
         tors = tuple(1 if i == j else 0 for i in range(len(self.torsion_orders)))
-        return self.element((0,) * self.rank, tors)
+        return GroupElement(self, terms=(), tors=tors)
 
     def two_torsion(self) -> tuple["GroupElement", ...]:
         """All solutions of 2x = 0, in a deterministic order.
@@ -58,9 +85,8 @@ class GroupSpec:
         or m_i/2 when m_i is even.
         """
         choices = [(0, m // 2) if m % 2 == 0 else (0,) for m in self.torsion_orders]
-        free = (0,) * self.rank
         return tuple(
-            self.element(free, combo) for combo in itertools.product(*choices)
+            GroupElement(self, terms=(), tors=combo) for combo in itertools.product(*choices)
         )
 
     def elements(self):
@@ -68,51 +94,56 @@ class GroupSpec:
         if self.rank > 0:
             raise ValueError("cannot enumerate a group of positive rank")
         for combo in itertools.product(*(range(m) for m in self.torsion_orders)):
-            yield self.element((), combo)
+            yield GroupElement(self, terms=(), tors=combo)
+
+    def sum(self, elements: Iterable["GroupElement"]) -> "GroupElement":
+        """The sum of ``elements`` in one pass; the empty sum is zero."""
+        free: dict[int, int] = {}
+        tors = (0,) * len(self.torsion_orders)
+        for x in elements:
+            _check_spec(self, x.spec)
+            for i, v in x.terms:
+                free[i] = free.get(i, 0) + v
+            tors = tuple(map(operator.add, tors, x.tors))
+        terms = tuple(sorted(item for item in free.items() if item[1]))
+        return GroupElement(self, terms=terms, tors=self._reduce(tors))
 
 
-@dataclass(frozen=True)
+def _check_spec(a: GroupSpec, b: GroupSpec) -> None:
+    if a is not b and a != b:
+        raise ValueError("elements of different groups cannot be combined")
+
+
+@dataclass(frozen=True, slots=True, repr=False)
 class GroupElement:
     """An element, split into free and torsion coordinates.
 
-    Torsion coordinates are reduced on construction, so equality is plain
-    componentwise equality.
+    ``terms`` holds the nonzero free coordinates as (index, value) pairs in
+    increasing index order; ``tors`` holds every torsion coordinate, reduced.
+    Both are canonical, so equality and hashing are plain componentwise
+    ones.  Build elements through :meth:`GroupSpec.element`, which takes
+    dense coordinates.  The constructor trusts its arguments; ``terms`` and
+    ``tors`` are keyword-only, so a dense positional call fails loudly.
     """
 
     spec: GroupSpec
-    free: tuple[int, ...]
+    _: KW_ONLY
+    terms: tuple[tuple[int, int], ...]
     tors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        free = tuple(self.free)
-        tors = tuple(self.tors)
-        if len(free) != self.spec.rank:
-            raise ValueError(
-                f"free part has length {len(free)}, expected {self.spec.rank}"
-            )
-        if len(tors) != len(self.spec.torsion_orders):
-            raise ValueError(
-                f"torsion part has length {len(tors)}, "
-                f"expected {len(self.spec.torsion_orders)}"
-            )
-        tors = tuple(v % m for v, m in zip(tors, self.spec.torsion_orders))
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "tors", tors)
-
-    def _check_same_spec(self, other: "GroupElement") -> None:
-        if self.spec != other.spec:
-            raise ValueError("elements of different groups cannot be combined")
+    @property
+    def free(self) -> tuple[int, ...]:
+        """The dense free coordinates, all ``spec.rank`` of them."""
+        free = [0] * self.spec.rank
+        for i, v in self.terms:
+            free[i] = v
+        return tuple(free)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check_same_spec(other)
-        free = tuple(a + b for a, b in zip(self.free, other.free))
-        tors = tuple(a + b for a, b in zip(self.tors, other.tors))
-        return self.spec.element(free, tors)
+        return self.spec.sum((self, other))
 
     def __neg__(self) -> "GroupElement":
-        return self.spec.element(
-            tuple(-a for a in self.free), tuple(-a for a in self.tors)
-        )
+        return self * -1
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
@@ -120,18 +151,19 @@ class GroupElement:
     def __mul__(self, k: int) -> "GroupElement":
         if not isinstance(k, int):
             return NotImplemented
-        return self.spec.element(
-            tuple(k * a for a in self.free), tuple(k * a for a in self.tors)
+        terms = tuple((i, k * v) for i, v in self.terms) if k else ()
+        return GroupElement(
+            self.spec, terms=terms, tors=self.spec._reduce(k * a for a in self.tors)
         )
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.free) and all(a == 0 for a in self.tors)
+        return not self.terms and not any(self.tors)
 
     def l1_free(self) -> int:
         """Sum of absolute values of the free coordinates."""
-        return sum(abs(a) for a in self.free)
+        return sum(abs(v) for _, v in self.terms)
 
     def __repr__(self) -> str:
         return f"({list(self.free)}; {list(self.tors)})"
@@ -144,9 +176,9 @@ def halvings(x: GroupElement) -> tuple[GroupElement, ...]:
     coset of the 2-torsion subgroup, so their number equals the number of
     2-torsion elements of the group.
     """
-    if any(v % 2 for v in x.free):
+    if any(v % 2 for _, v in x.terms):
         return ()
-    half_free = tuple(v // 2 for v in x.free)
+    half_terms = tuple((i, v // 2) for i, v in x.terms)
     per_coord: list[tuple[int, ...]] = []
     for v, m in zip(x.tors, x.spec.torsion_orders):
         if m % 2 == 1:
@@ -155,5 +187,8 @@ def halvings(x: GroupElement) -> tuple[GroupElement, ...]:
             per_coord.append((v // 2, v // 2 + m // 2))
         else:
             return ()
-    found = [x.spec.element(half_free, combo) for combo in itertools.product(*per_coord)]
+    found = [
+        GroupElement(x.spec, terms=half_terms, tors=combo)
+        for combo in itertools.product(*per_coord)
+    ]
     return tuple(sorted(found, key=lambda e: e.tors))

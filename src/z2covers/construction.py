@@ -98,7 +98,7 @@ def construct_family(n: int, halving_choice: Sequence[int] | None = None) -> Bui
     points_p1 = tuple(PointOnP1(f"E{j + 1}") for j in range(6))
 
     e = SurfaceClass(1, CurveClass.zero(spec))
-    sum_halved = SurfaceClass(0, CurveClass(n, sum(halved_aj, spec.zero())))
+    sum_halved = SurfaceClass(0, CurveClass(n, spec.sum(halved_aj)))
 
     def torsion_class(t: GroupElement) -> SurfaceClass:
         return SurfaceClass(0, CurveClass(0, t))
@@ -180,8 +180,7 @@ def _family_shape(bd: BuildingData) -> tuple[int, GroupElement]:
     halved = [p for p in bd.points_c.values() if _HALVED_FIBER.match(p.label)]
     if len(halved) < 2:
         raise ValueError("relations table needs data built by construct_family")
-    total = sum((p.aj for p in halved), bd.group_spec.zero())
-    return len(halved), total
+    return len(halved), bd.group_spec.sum(p.aj for p in halved)
 
 
 def _symbolize(cls: SurfaceClass, fiber_count: int, halved_sum: GroupElement) -> str:
@@ -191,7 +190,7 @@ def _symbolize(cls: SurfaceClass, fiber_count: int, halved_sum: GroupElement) ->
         raise ValueError(f"cannot render degree {cls.c.degree} over {fiber_count} fibers")
     k = cls.c.degree // fiber_count
     residual = cls.c.pic0 - k * halved_sum
-    if any(residual.free):
+    if residual.terms:
         raise ValueError("class is not a combination of family generators")
     eta_names = {
         spec.zero().tors: None,

@@ -37,7 +37,14 @@ from typing import Any, Mapping, Sequence, Union
 
 from .abgroup import GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters, nontrivial_elements, pair
-from .picard import PointOnC, PointOnP1, SurfaceClass, rational_fiber_class, elliptic_fiber_class
+from .picard import (
+    CurveClass,
+    PointOnC,
+    PointOnP1,
+    SurfaceClass,
+    elliptic_fiber_class,
+    rational_fiber_class,
+)
 
 
 @dataclass(frozen=True)
@@ -80,11 +87,13 @@ def component_class(comp: BranchComponent, spec: GroupSpec) -> SurfaceClass:
 
 
 def branch_class(components: Sequence[BranchComponent], spec: GroupSpec) -> SurfaceClass:
-    """Class of a sum of fiber components; the empty sum is the zero class."""
-    total = SurfaceClass.zero(spec)
-    for comp in components:
-        total = total + component_class(comp, spec)
-    return total
+    """Class of a sum of fiber components; the empty sum is the zero class.
+
+    Each elliptic fiber adds E and each rational fiber adds (1, aj), so the
+    sum counts the first kind and adds the points of the second in one pass.
+    """
+    points = [comp.point.aj for comp in components if isinstance(comp, RationalFiber)]
+    return SurfaceClass(len(components) - len(points), CurveClass(len(points), spec.sum(points)))
 
 
 @dataclass(frozen=True)
@@ -168,10 +177,8 @@ class BuildingData:
         return branch_class(self.branch(sigma), self.group_spec)
 
     def total_branch_class(self) -> SurfaceClass:
-        total = SurfaceClass.zero(self.group_spec)
-        for sigma in self.elements:
-            total = total + self.branch_class_of(sigma)
-        return total
+        components = [c for sigma in self.elements for c in self.branch(sigma)]
+        return branch_class(components, self.group_spec)
 
     @cached_property
     def verification(self) -> VerificationReport:

@@ -228,13 +228,17 @@ class _Realizer:
 
     def __init__(self, curve: CurveOverFp, assignment: Assignment):
         self.curve = curve
-        self.images = (*assignment.free_points, *assignment.torsion_points)
+        self.free_points = assignment.free_points
+        self.torsion_points = assignment.torsion_points
 
     def __call__(self, element: GroupElement) -> CurvePoint:
+        curve = self.curve
         total = INFINITY
-        for k, point in zip((*element.free, *element.tors), self.images):
+        for i, k in element.terms:
+            total = curve.add(total, curve.scale(k, self.free_points[i]))
+        for k, point in zip(element.tors, self.torsion_points):
             if k:
-                total = self.curve.add(total, self.curve.scale(k, point))
+                total = curve.add(total, curve.scale(k, point))
         return total
 
 

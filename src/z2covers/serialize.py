@@ -14,21 +14,23 @@ A building-data document is a single JSON object:
 Characters and group elements are keyed by their bit strings.  Emission is
 canonical: keys sorted, two-space indent, trailing newline, every branch
 index present even when empty.  Parsing tolerates missing branch indices
-(read as empty) and rejects everything else malformed with FormatError;
-rank, torsion orders, a, degree, free and tors entries must be JSON
-integers, and no float, NaN or Infinity is accepted anywhere.
+(read as empty) and rejects everything else malformed with FormatError:
+every object must carry exactly its keys, rank, torsion orders, a, degree,
+free and tors entries must be JSON integers, and no float, NaN or Infinity
+is accepted anywhere.
 
 :func:`dumps` writes the canonical text itself, byte for byte what
-``json.dumps(doc, sort_keys=True, indent=2)`` writes, but each flat list of
-integers (every ``free`` and ``tors``) in one C-level join: the standard
-library's indenting encoder is pure Python and walks those lists one
-integer at a time.
+``json.dumps(doc, sort_keys=True, indent=2)`` writes.  A group element is
+written from its nonzero free coordinates: each run of zeros between them
+is a slice of one block of zero lines, so the Python work per element is
+O(nonzeros) although the text stays dense.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from functools import lru_cache
+from typing import Any, Callable
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement
@@ -36,6 +38,12 @@ from .cover import BranchComponent, BuildingData, EllipticFiber, RationalFiber
 from .picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
 
 SCHEMA_VERSION = 1
+
+_DOCUMENT_KEYS = frozenset({"schema_version", "group_spec", "points_c", "points_p1", "L", "D"})
+_GROUP_SPEC_KEYS = frozenset({"rank", "torsion"})
+_ELEMENT_KEYS = frozenset({"free", "tors"})
+_CLASS_KEYS = frozenset({"a", "degree", "pic0"})
+_COMPONENT_KEYS = frozenset({"kind", "label"})
 
 
 class FormatError(ValueError):
@@ -48,40 +56,58 @@ def _integer(value: Any, field: str) -> int:
     return value
 
 
+def _object(value: Any, what: str, keys: frozenset[str] | None = None) -> dict:
+    """``value`` itself, once it is a JSON object with exactly ``keys`` (any
+    keys when None)."""
+    if type(value) is not dict:
+        raise FormatError(f"{what} must be a JSON object, got {value!r:.60}")
+    if keys is not None and value.keys() != keys:
+        raise FormatError(f"{what} must have the keys {sorted(keys)}, got {sorted(value)}")
+    return value
+
+
+def _array(value: Any, what: str) -> list:
+    if type(value) is not list:
+        raise FormatError(f"{what} must be a JSON array, got {value!r:.60}")
+    return value
+
+
 def element_to_dict(element: GroupElement) -> dict[str, Any]:
     return {"free": list(element.free), "tors": list(element.tors)}
 
 
 def element_from_dict(doc: Any, spec: GroupSpec) -> GroupElement:
+    doc = _object(doc, "group element", _ELEMENT_KEYS)
+    free = _array(doc["free"], "free")
+    if not set(map(type, free)) <= {int}:  # one C-level pass; bool is not int here
+        bad = next(v for v in free if type(v) is not int)
+        raise FormatError(f"free coordinates must be JSON integers, got {bad!r}")
+    tors = tuple(_integer(t, "tors") for t in _array(doc["tors"], "tors"))
     try:
-        free = tuple(doc["free"])
-        if not set(map(type, free)) <= {int}:  # one C-level pass; bool is not int here
-            bad = next(v for v in free if type(v) is not int)
-            raise FormatError(f"free coordinates must be JSON integers, got {bad!r}")
-        return spec.element(free, tuple(_integer(t, "tors") for t in doc["tors"]))
-    except (TypeError, KeyError, ValueError) as exc:
+        return spec.element(free, tors)
+    except ValueError as exc:
         raise FormatError(f"bad group element: {exc}") from exc
 
 
+def _surface_class(cls: SurfaceClass, element: Callable[[GroupElement], Any]) -> dict[str, Any]:
+    return {"a": cls.a, "degree": cls.c.degree, "pic0": element(cls.c.pic0)}
+
+
 def surface_class_to_dict(cls: SurfaceClass) -> dict[str, Any]:
-    return {
-        "a": cls.a,
-        "degree": cls.c.degree,
-        "pic0": element_to_dict(cls.c.pic0),
-    }
+    return _surface_class(cls, element_to_dict)
 
 
 def surface_class_from_dict(doc: Any, spec: GroupSpec) -> SurfaceClass:
-    try:
-        return SurfaceClass(
-            _integer(doc["a"], "a"),
-            CurveClass(_integer(doc["degree"], "degree"), element_from_dict(doc["pic0"], spec)),
-        )
-    except (TypeError, KeyError) as exc:
-        raise FormatError(f"bad surface class: {exc}") from exc
+    doc = _object(doc, "surface class", _CLASS_KEYS)
+    return SurfaceClass(
+        _integer(doc["a"], "a"),
+        CurveClass(_integer(doc["degree"], "degree"), element_from_dict(doc["pic0"], spec)),
+    )
 
 
-def building_data_to_dict(bd: BuildingData) -> dict[str, Any]:
+def _document(bd: BuildingData, element: Callable[[GroupElement], Any]) -> dict[str, Any]:
+    """The document tree, with each group element as ``element`` renders it."""
+
     def component_ref(comp: BranchComponent) -> dict[str, str]:
         return {"kind": comp.kind, "label": comp.label}
 
@@ -91,11 +117,9 @@ def building_data_to_dict(bd: BuildingData) -> dict[str, Any]:
             "rank": bd.group_spec.rank,
             "torsion": list(bd.group_spec.torsion_orders),
         },
-        "points_c": {
-            label: element_to_dict(point.aj) for label, point in bd.points_c.items()
-        },
+        "points_c": {label: element(point.aj) for label, point in bd.points_c.items()},
         "points_p1": [point.label for point in bd.points_p1],
-        "L": {str(chi): surface_class_to_dict(cls) for chi, cls in bd.L.items()},
+        "L": {str(chi): _surface_class(cls, element) for chi, cls in bd.L.items()},
         "D": {
             str(sigma): [component_ref(c) for c in comps]
             for sigma, comps in bd.D.items()
@@ -103,24 +127,36 @@ def building_data_to_dict(bd: BuildingData) -> dict[str, Any]:
     }
 
 
+def building_data_to_dict(bd: BuildingData) -> dict[str, Any]:
+    return _document(bd, element_to_dict)
+
+
 def building_data_from_dict(doc: Any) -> BuildingData:
-    if not isinstance(doc, dict):
-        raise FormatError("document must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    doc = _object(doc, "document")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise FormatError(f"unsupported schema_version {version!r}")
+    if doc.keys() != _DOCUMENT_KEYS:
+        raise FormatError(
+            f"document must have the keys {sorted(_DOCUMENT_KEYS)}, got {sorted(doc)}"
+        )
+    group_spec = _object(doc["group_spec"], "group_spec", _GROUP_SPEC_KEYS)
     try:
         spec = GroupSpec(
-            _integer(doc["group_spec"]["rank"], "rank"),
-            tuple(_integer(m, "torsion order") for m in doc["group_spec"]["torsion"]),
+            _integer(group_spec["rank"], "rank"),
+            tuple(_integer(m, "torsion order") for m in _array(group_spec["torsion"], "torsion")),
         )
         points_c = {
             label: PointOnC(label, element_from_dict(entry, spec))
-            for label, entry in doc["points_c"].items()
+            for label, entry in _object(doc["points_c"], "points_c").items()
         }
-        points_p1 = tuple(PointOnP1(label) for label in doc["points_p1"])
+        p1_labels = _array(doc["points_p1"], "points_p1")
+        if not set(map(type, p1_labels)) <= {str}:
+            raise FormatError("points_p1 entries must be JSON strings")
+        points_p1 = tuple(map(PointOnP1, p1_labels))
         L = {
             Character.from_string(key): surface_class_from_dict(entry, spec)
-            for key, entry in doc["L"].items()
+            for key, entry in _object(doc["L"], "L").items()
         }
         if not L:
             raise FormatError("no characters present")
@@ -130,6 +166,7 @@ def building_data_from_dict(doc: Any) -> BuildingData:
         (n,) = lengths
 
         def component(ref: Any) -> BranchComponent:
+            ref = _object(ref, "branch component", _COMPONENT_KEYS)
             kind, label = ref["kind"], ref["label"]
             if kind == "E":
                 return EllipticFiber(PointOnP1(label))
@@ -140,8 +177,8 @@ def building_data_from_dict(doc: Any) -> BuildingData:
             raise FormatError(f"unknown component kind {kind!r}")
 
         D = {
-            CoverElement.from_string(key): tuple(component(ref) for ref in refs)
-            for key, refs in doc["D"].items()
+            CoverElement.from_string(key): tuple(map(component, _array(refs, f"D[{key!r}]")))
+            for key, refs in _object(doc["D"], "D").items()
         }
         return BuildingData(n, spec, points_c, points_p1, L, D)
     except FormatError:
@@ -150,16 +187,47 @@ def building_data_from_dict(doc: Any) -> BuildingData:
         raise FormatError(f"malformed building data: {exc}") from exc
 
 
+@lru_cache(maxsize=8)
+def _zero_lines(sep: str, count: int) -> str:
+    """``count`` zero entries of an indented integer list, each followed by ``sep``."""
+    return ("0" + sep) * count
+
+
+def _encode_element(x: GroupElement, pad: str, out: list[str]) -> None:
+    """Append the canonical text of ``{"free": x.free, "tors": x.tors}``;
+    ``pad`` is the indentation of the line it starts on."""
+    inner = pad + "  "
+    sep = ",\n" + inner + "  "
+    free = ""
+    if x.spec.rank:
+        zeros, width = _zero_lines(sep, x.spec.rank), len(sep) + 1
+        entries, done = [], 0
+        for i, v in x.terms:  # the zeros before each term are a slice of the block
+            entries.append(zeros[: (i - done) * width])
+            entries.append(f"{v}{sep}")
+            done = i + 1
+        entries.append(zeros[: (x.spec.rank - done) * width])
+        free = "".join(entries)[: -len(sep)]
+    tors = sep.join(map(str, x.tors))
+    out.append(
+        f'{{\n{inner}"free": {_list(free, inner)},\n{inner}"tors": {_list(tors, inner)}\n{pad}}}'
+    )
+
+
+def _list(entries: str, pad: str) -> str:
+    """A list of the already separated ``entries``, its brackets on lines at ``pad``."""
+    return f"[\n{pad}  {entries}\n{pad}]" if entries else "[]"
+
+
 def _encode(value: Any, pad: str, out: list[str]) -> None:
     """Append the canonical text of ``value`` to ``out``; ``pad`` is the
     indentation of the line the value starts on."""
+    if type(value) is GroupElement:
+        _encode_element(value, pad, out)
+        return
     if type(value) is dict and value:
         brackets, items = "{}", ((json.dumps(key) + ": ", value[key]) for key in sorted(value))
     elif type(value) is list and value:
-        if set(map(type, value)) <= {int}:  # every free and tors list: one C-level join
-            inner = pad + "  "
-            out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{pad}]")
-            return
         brackets, items = "[]", (("", item) for item in value)
     else:  # a scalar, or an empty list or object
         out.append(json.dumps(value))
@@ -175,7 +243,7 @@ def _encode(value: Any, pad: str, out: list[str]) -> None:
 
 def dumps(bd: BuildingData) -> str:
     out: list[str] = []
-    _encode(building_data_to_dict(bd), "", out)
+    _encode(_document(bd, lambda element: element), "", out)
     out.append("\n")
     return "".join(out)
 

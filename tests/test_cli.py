@@ -192,3 +192,12 @@ def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_unknown_key_is_a_parse_error(tmp_path, capsys):
+    doc = json.loads(dumps(construct_family(3)))
+    doc["L"]["100"]["pic0"]["extra"] = 0
+    path = tmp_path / "extra-key.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 3
+    assert "keys" in capsys.readouterr().err

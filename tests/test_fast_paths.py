@@ -1,7 +1,9 @@
 """The linear-time paths against brute-force references, and counts that bound their work.
 
-``serialize.dumps`` writes the canonical text itself; the reference is the
-standard library's ``json.dumps(sort_keys=True, indent=2)``.
+``GroupElement`` stores only its nonzero free coordinates; the reference is
+dense tuple arithmetic.  ``serialize.dumps`` writes the canonical text
+itself; the reference is the standard library's
+``json.dumps(sort_keys=True, indent=2)``.
 ``verify_smoothness`` makes one pass over sets; the reference compares every
 pair.  ``CurveOverFp.point_order`` is computed once per point; the reference
 assignment search tests each order without reading any stored order.
@@ -9,14 +11,17 @@ assignment search tests each order without reading any stored order.
 
 import itertools
 import json
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2covers import curve_oracle, serialize
-from z2covers.abgroup import GroupElement, GroupSpec
+from z2covers.abgroup import GroupElement, GroupSpec, halvings
+from z2covers.cli import main
 from z2covers.characters import nontrivial_characters, nontrivial_elements
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.cover import (
@@ -27,7 +32,120 @@ from z2covers.cover import (
     verify_smoothness,
 )
 from z2covers.curve_oracle import INFINITY, Assignment, CurveOverFp, _Realizer, find_assignment
+from z2covers.invariants import canonical_map_degree, compute_invariants
 from z2covers.picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
+
+
+# -- sparse group elements ----------------------------------------------------
+
+# Mostly zeros, as in the family, with small, negative and very large values.
+COORDINATES = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def specs(draw):
+    return GroupSpec(draw(st.integers(0, 12)), draw(st.lists(st.integers(2, 6), max_size=3)))
+
+
+def dense_parts(draw, spec):
+    """Unreduced dense coordinates of an element of ``spec``."""
+    free = draw(st.lists(COORDINATES, min_size=spec.rank, max_size=spec.rank))
+    tors = [draw(st.integers(-20, 20)) for _ in spec.torsion_orders]
+    return tuple(free), tuple(tors)
+
+
+class Dense:
+    """The reference model: every coordinate stored, torsion reduced."""
+
+    def __init__(self, spec, free, tors):
+        self.spec, self.free = spec, tuple(free)
+        self.tors = tuple(t % m for t, m in zip(tors, spec.torsion_orders))
+
+    def __add__(self, other):
+        return Dense(self.spec, map(operator.add, self.free, other.free),
+                     map(operator.add, self.tors, other.tors))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, k):
+        return Dense(self.spec, (k * a for a in self.free), (k * a for a in self.tors))
+
+    def halvings(self):
+        if any(a % 2 for a in self.free):
+            return []
+        per_coord = [[y for y in range(m) if (2 * y - t) % m == 0]
+                     for t, m in zip(self.tors, self.spec.torsion_orders)]
+        half = tuple(a // 2 for a in self.free)
+        return [Dense(self.spec, half, combo) for combo in itertools.product(*per_coord)]
+
+
+def coords(ref):
+    return ref.free, ref.tors
+
+
+def same(x, ref):
+    """``x`` equals the reference, and its terms are canonical."""
+    indices = [i for i, _ in x.terms]
+    return (
+        x.free == ref.free
+        and x.tors == ref.tors
+        and indices == sorted(set(indices))
+        and all(v != 0 for _, v in x.terms)
+    )
+
+
+@st.composite
+def element_pairs(draw):
+    spec = draw(specs())
+    return spec, dense_parts(draw, spec), dense_parts(draw, spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_pairs(), st.integers(-7, 7))
+def test_sparse_elements_match_the_dense_reference(case, k):
+    spec, (xf, xt), (yf, yt) = case
+    x, y = spec.element(xf, xt), spec.element(yf, yt)
+    rx, ry = Dense(spec, xf, xt), Dense(spec, yf, yt)
+    assert same(x, rx) and same(y, ry)
+    assert spec.element(x.free, x.tors) == x
+    assert same(x + y, rx + ry)
+    assert same(x - y, rx + -ry)
+    assert same(-x, -rx)
+    assert same(k * x, rx.scale(k)) and same(x * k, rx.scale(k)) and same(0 * x, rx.scale(0))
+    assert x.is_zero() == (not any(rx.free) and not any(rx.tors))
+    assert x.l1_free() == sum(map(abs, rx.free))
+    assert (x == y) == (coords(rx) == coords(ry))
+    assert hash(x - y + y) == hash(x) and x - y + y == x
+    assert (x + x == y + y) == (coords(rx + rx) == coords(ry + ry))
+    for z, rz in ((x + y, rx + ry), (x + x, rx + rx)):
+        found, expected = halvings(z), sorted(rz.halvings(), key=lambda e: e.tors)
+        assert len(found) == len(expected)
+        assert all(same(h, r) for h, r in zip(found, expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_group_sum_matches_a_left_fold(data):
+    spec = data.draw(specs())
+    parts = [dense_parts(data.draw, spec) for _ in range(data.draw(st.integers(0, 6)))]
+    xs = [spec.element(*p) for p in parts]
+    dense_zero = Dense(spec, (0,) * spec.rank, (0,) * len(spec.torsion_orders))
+    assert same(spec.sum(xs), reduce(operator.add, [Dense(spec, *p) for p in parts], dense_zero))
+    assert spec.sum(xs) == reduce(operator.add, xs, spec.zero())
+    assert spec.sum(iter(xs)) == spec.sum(xs)
+
+
+def test_a_dense_positional_construction_fails_loudly():
+    spec = GroupSpec(3, (2,))
+    with pytest.raises(TypeError):
+        GroupElement(spec, (1, 0, 0), (3,))
+
+
+def test_group_sum_refuses_another_group():
+    spec = GroupSpec(2, (2,))
+    with pytest.raises(ValueError):
+        spec.sum([spec.zero(), GroupSpec(2, (3,)).zero()])
 
 
 def reference_dumps(bd):
@@ -58,9 +176,34 @@ AWKWARD = st.one_of(
 
 
 @st.composite
+def arbitrary_data(draw):
+    """Random shapes, rank 0 included, with large and negative coordinates."""
+    spec = draw(specs())
+    n = draw(st.integers(1, 3))
+
+    def element():
+        return spec.element(*dense_parts(draw, spec))
+
+    points_c = {f"P{i}": PointOnC(f"P{i}", element()) for i in range(draw(st.integers(0, 4)))}
+    points_p1 = tuple(PointOnP1(f"E{i}") for i in range(draw(st.integers(0, 2))))
+    L = {
+        chi: SurfaceClass(draw(st.integers(-3, 3)), CurveClass(draw(st.integers(-3, 3)), element()))
+        for chi in nontrivial_characters(n)
+    }
+    pool = [RationalFiber(p) for p in points_c.values()] + [EllipticFiber(p) for p in points_p1]
+    D = {}
+    if pool:
+        for sigma in nontrivial_elements(n):
+            D[sigma] = tuple(draw(st.lists(st.sampled_from(pool), max_size=2)))
+    return BuildingData(n, spec, points_c, points_p1, L, D)
+
+
+@st.composite
 def documents(draw):
-    kind = draw(st.sampled_from(["family", "etale", "mutant"]))
-    if kind == "etale":
+    kind = draw(st.sampled_from(["family", "etale", "mutant", "arbitrary"]))
+    if kind == "arbitrary":
+        bd = draw(arbitrary_data())
+    elif kind == "etale":
         bd = construct_etale(draw(st.integers(3, 7)))
     else:
         n = draw(st.integers(2, 64 if kind == "family" else 8))
@@ -71,7 +214,7 @@ def documents(draw):
     return relabel(bd, draw(AWKWARD)) if draw(st.booleans()) else bd
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(documents())
 def test_dumps_matches_the_standard_encoder(bd):
     text = serialize.dumps(bd)
@@ -89,6 +232,47 @@ def test_dumps_never_reaches_the_pure_python_encoder(monkeypatch):
     with pytest.raises(AssertionError):
         json.dumps({"a": [1]}, indent=2)
     assert [serialize.dumps(bd) for bd in cases] == expected
+
+
+# -- linearity guards: what the family path may not do -----------------------
+
+
+def test_the_family_path_never_reads_dense_coordinates(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("dense free coordinates were read")
+
+    monkeypatch.setattr(GroupElement, "free", property(refuse))
+    family, small = tmp_path / "family64.json", tmp_path / "family3.json"
+    assert main(["construct", "--n", "64", "--out", str(family)]) == 0
+    assert main(["construct", "--n", "3", "--out", str(small)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(family), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["canonical_map"]["degree"] == 8
+    assert main(["verify", str(small), "--oracle", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"]["ok"]
+
+
+def elements_created(n, monkeypatch):
+    """GroupElement instances built while verifying family member n."""
+    bd = construct_family(n)
+    created = 0
+    init = GroupElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal created
+        created += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupElement, "__init__", counting_init)
+    assert bd.verification.ok
+    compute_invariants(bd)
+    assert canonical_map_degree(bd).degree == 8
+    monkeypatch.undo()
+    return created
+
+
+def test_verification_builds_as_many_elements_at_every_n(monkeypatch):
+    assert elements_created(16, monkeypatch) == elements_created(64, monkeypatch)
 
 
 # -- smoothness ---------------------------------------------------------------

@@ -172,3 +172,63 @@ def test_float_tokens_are_refused_by_the_parser(token):
     text = dumps(construct_family(2)).replace('"schema_version": 1', f'"schema_version": {token}')
     with pytest.raises(FormatError, match="no floats"):
         loads(text)
+
+
+# Every object carries exactly its keys, and every list and object sits
+# where the format puts one.  Each edit below once parsed and verified.
+def _add_key(path):
+    def edit(doc):
+        target = doc
+        for step in path:
+            target = target[step]
+        target["extra"] = 0
+    return edit
+
+
+def _set(path, value):
+    def edit(doc):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(doc):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        del target[path[-1]]
+    return edit
+
+
+MALFORMED_SHAPES = {
+    "unknown key at the top level": _add_key(()),
+    "unknown key in group_spec": _add_key(("group_spec",)),
+    "unknown key in a points_c element": _add_key(("points_c", "F1")),
+    "unknown key in an L class": _add_key(("L", "100")),
+    "unknown key in a pic0": _add_key(("L", "100", "pic0")),
+    "unknown key in a component ref": _add_key(("D", "100", 0)),
+    "missing key in an L class": _drop(("L", "100", "a")),
+    "missing key in a component ref": _drop(("D", "111", 0, "label")),
+    "D entry as an empty string": _set(("D", "001"), ""),
+    "D entry as an empty object": _set(("D", "001"), {}),
+    "D entry as a string": _set(("D", "100"), "E1"),
+    "D entry as null": _set(("D", "001"), None),
+    "component ref as a string": _set(("D", "100", 0), "E1"),
+    "component ref as a list": _set(("D", "100", 0), ["E", "E1"]),
+    "points_p1 entry as a number": _set(("points_p1", 0), 1),
+    "points_p1 as a string": _set(("points_p1",), "E1E2E3E4E5E6"),
+    "free as an object": _set(("points_c", "F1", "free"), {}),
+    "tors as a string": _set(("points_c", "F1", "tors"), "00"),
+    "points_c as a list": _set(("points_c",), []),
+    "schema_version as true": _set(("schema_version",), True),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_SHAPES.values(), ids=MALFORMED_SHAPES.keys())
+def test_malformed_shapes_are_refused(edit):
+    doc = building_data_to_dict(construct_family(3))
+    edit(doc)
+    _assert_rejected(doc)
