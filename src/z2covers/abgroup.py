@@ -42,7 +42,8 @@ class GroupSpec:
     def element(self, free=(), tors=()) -> "GroupElement":
         """The element with dense free coordinates ``free`` and torsion
         coordinates ``tors`` (reduced here)."""
-        free = tuple(free)
+        if type(free) is not list:  # a parsed list is scanned in place, not copied
+            free = tuple(free)
         tors = tuple(tors)
         if len(free) != self.rank:
             raise ValueError(f"free part has length {len(free)}, expected {self.rank}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Any
 
 from . import serialize
@@ -296,9 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call.
+
+    Parsing leaves it unchanged, and argparse looks up ``sys.stdout`` and
+    ``sys.stderr`` when it prints, so sharing it changes no output.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

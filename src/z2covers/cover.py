@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
-from .abgroup import GroupSpec
+from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters, nontrivial_elements, pair
 from .picard import (
     CurveClass,
@@ -182,15 +182,39 @@ class BuildingData:
 
     @cached_property
     def verification(self) -> VerificationReport:
-        """The report of :func:`verify_relations`, computed once per instance."""
+        """The report of :func:`verify_relations`, computed once per instance.
+
+        A side of a relation is a tuple of ``(a, degree, pic0, -pic0)`` terms,
+        one per class it adds, so adding two sides concatenates them.  A row
+        holds when the ``a`` and the degrees sum alike on both sides and the
+        degree-zero parts of the left minus those of the right sum to zero:
+        one signed sum per row, with every class negated once.  The sides
+        of a failing row are summed into surface classes for the report.
+        """
+        spec = self.group_spec
         table = relations(self.n)
-        branch = {sigma: self.branch_class_of(sigma) for sigma in self.elements}
-        zero = SurfaceClass.zero(self.group_spec)
+
+        def term(cls: SurfaceClass) -> tuple[tuple[int, int, GroupElement, GroupElement]]:
+            return ((cls.a, cls.c.degree, cls.c.pic0, -cls.c.pic0),)
+
+        def side_class(side: tuple) -> SurfaceClass:
+            pic0 = spec.sum(t[2] for t in side)
+            return SurfaceClass(sum(t[0] for t in side), CurveClass(sum(t[1] for t in side), pic0))
+
+        L = {chi: term(cls) for chi, cls in self.L.items()}
+        branch = {sigma: term(self.branch_class_of(sigma)) for sigma in self.elements}
         failures = []
         for r in table:
-            lhs, rhs = r.sides(self.L, branch, zero)
-            if lhs != rhs:
-                failures.append(RelationFailure(r.chi, r.chi_prime, lhs, rhs))
+            lhs, rhs = r.sides(L, branch, ())
+            holds = (
+                sum(t[0] for t in lhs) == sum(t[0] for t in rhs)
+                and sum(t[1] for t in lhs) == sum(t[1] for t in rhs)
+                and spec.sum(itertools.chain((t[2] for t in lhs), (t[3] for t in rhs))).is_zero()
+            )
+            if not holds:
+                failures.append(
+                    RelationFailure(r.chi, r.chi_prime, side_class(lhs), side_class(rhs))
+                )
         trivial = tuple(chi for chi in self.characters if self.L[chi].is_zero())
         ok = not failures and not trivial
         return VerificationReport(ok, len(table), tuple(failures), trivial)

@@ -15,9 +15,9 @@ Characters and group elements are keyed by their bit strings.  Emission is
 canonical: keys sorted, two-space indent, trailing newline, every branch
 index present even when empty.  Parsing tolerates missing branch indices
 (read as empty) and rejects everything else malformed with FormatError:
-every object must carry exactly its keys, rank, torsion orders, a, degree,
-free and tors entries must be JSON integers, and no float, NaN or Infinity
-is accepted anywhere.
+every object must carry exactly its keys, each of them once; rank, torsion
+orders, a, degree, free and tors entries must be JSON integers; and no
+float, NaN or Infinity is accepted anywhere.
 
 :func:`dumps` writes the canonical text itself, byte for byte what
 ``json.dumps(doc, sort_keys=True, indent=2)`` writes.  A group element is
@@ -29,6 +29,8 @@ O(nonzeros) although the text stays dense.
 from __future__ import annotations
 
 import json
+import operator
+from collections import Counter
 from functools import lru_cache
 from typing import Any, Callable
 
@@ -36,6 +38,9 @@ from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement
 from .cover import BranchComponent, BuildingData, EllipticFiber, RationalFiber
 from .picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
+
+# The C function json.dumps calls to quote a str (ensure_ascii is its default).
+_quote = json.encoder.encode_basestring_ascii
 
 SCHEMA_VERSION = 1
 
@@ -79,7 +84,7 @@ def element_to_dict(element: GroupElement) -> dict[str, Any]:
 def element_from_dict(doc: Any, spec: GroupSpec) -> GroupElement:
     doc = _object(doc, "group element", _ELEMENT_KEYS)
     free = _array(doc["free"], "free")
-    if not set(map(type, free)) <= {int}:  # one C-level pass; bool is not int here
+    if operator.countOf(map(type, free), int) != len(free):  # one C-level pass; bool is not int
         bad = next(v for v in free if type(v) is not int)
         raise FormatError(f"free coordinates must be JSON integers, got {bad!r}")
     tors = tuple(_integer(t, "tors") for t in _array(doc["tors"], "tors"))
@@ -226,10 +231,16 @@ def _encode(value: Any, pad: str, out: list[str]) -> None:
         _encode_element(value, pad, out)
         return
     if type(value) is dict and value:
-        brackets, items = "{}", ((json.dumps(key) + ": ", value[key]) for key in sorted(value))
+        brackets, items = "{}", ((_quote(key) + ": ", value[key]) for key in sorted(value))
     elif type(value) is list and value:
         brackets, items = "[]", (("", item) for item in value)
-    else:  # a scalar, or an empty list or object
+    elif type(value) is str:
+        out.append(_quote(value))
+        return
+    elif type(value) is int:
+        out.append(str(value))
+        return
+    else:  # any other scalar, or an empty list or object
         out.append(json.dumps(value))
         return
     inner = pad + "  "
@@ -252,9 +263,20 @@ def _refuse(token: str) -> None:
     raise FormatError(f"{token} is not a JSON integer; the format has no floats")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The object of ``pairs``; json.loads alone would keep the last of a repeated key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise FormatError(f"repeated key {repeated!r} in one JSON object")
+    return obj
+
+
 def loads(text: str) -> BuildingData:
     try:
-        doc = json.loads(text, parse_float=_refuse, parse_constant=_refuse)
+        doc = json.loads(
+            text, object_pairs_hook=_unique_keys, parse_float=_refuse, parse_constant=_refuse
+        )
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     return building_data_from_dict(doc)

@@ -7,19 +7,26 @@ itself; the reference is the standard library's
 ``verify_smoothness`` makes one pass over sets; the reference compares every
 pair.  ``CurveOverFp.point_order`` is computed once per point; the reference
 assignment search tests each order without reading any stored order.
+``cli.main`` builds its parser once per process; the reference is a fresh
+``python -m z2covers`` process per call.
 """
 
+import argparse
 import itertools
 import json
 import operator
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2covers import curve_oracle, serialize
+from z2covers import cli, curve_oracle, serialize
 from z2covers.abgroup import GroupElement, GroupSpec, halvings
 from z2covers.cli import main
 from z2covers.characters import nontrivial_characters, nontrivial_elements
@@ -29,11 +36,14 @@ from z2covers.cover import (
     EllipticFiber,
     RationalFiber,
     SmoothnessReport,
+    verify_relations,
     verify_smoothness,
 )
 from z2covers.curve_oracle import INFINITY, Assignment, CurveOverFp, _Realizer, find_assignment
 from z2covers.invariants import canonical_map_degree, compute_invariants
 from z2covers.picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # -- sparse group elements ----------------------------------------------------
@@ -273,6 +283,94 @@ def elements_created(n, monkeypatch):
 
 def test_verification_builds_as_many_elements_at_every_n(monkeypatch):
     assert elements_created(16, monkeypatch) == elements_created(64, monkeypatch)
+
+
+# -- fixed cost per job: the shared parser and one signed sum per relation ---
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    built = []  # the index of the main() call during which each parser was made
+    calls = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(calls)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    path = str(tmp_path / "family3.json")
+    for argv in (
+        ["construct", "--n", "3", "--out", path],
+        ["verify", path],
+        ["verify", path, "--format", "json"],
+        ["table", path],
+        ["sweep", "2..3"],
+    ):
+        assert main(argv) == 0
+        calls += 1
+    assert len(built) <= 5 and set(built) <= {0}  # the root parser and its 4 subparsers
+
+
+@pytest.mark.parametrize("n", [3, 22])
+def test_each_relation_is_decided_by_one_sum(n, monkeypatch):
+    bd = construct_family(n)
+    sums = 0
+    original = GroupSpec.sum
+
+    def counting_sum(self, elements):
+        nonlocal sums
+        sums += 1
+        return original(self, elements)
+
+    monkeypatch.setattr(GroupSpec, "sum", counting_sum)
+    report = verify_relations(bd)
+    assert report.ok and report.pairs_checked == 28
+    assert sums <= 7 + 28  # one per branch class, then one per relation
+
+
+def test_the_shared_parser_answers_like_a_fresh_process(tmp_path, monkeypatch, capsys):
+    """Each call in one process against ``python -m z2covers`` with the same argv."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to this width
+    family, repeated = str(tmp_path / "family3.json"), str(tmp_path / "repeated.json")
+    text = serialize.dumps(construct_family(3))
+    wrong = json.dumps({"a": 4, "degree": 3, "pic0": {"free": [0] * 7, "tors": [0, 0]}})
+    with open(repeated, "w", encoding="utf-8") as handle:
+        handle.write(text.replace('"L": {', '"L": {"100": ' + wrong + ",", 1))
+    sequence = [
+        ["construct", "--n", "3", "--out", family],
+        ["construct", "--n", "2", "--halving", "1,3"],
+        ["verify", family],
+        ["verify", family, "--format", "json"],
+        ["construct", "--n", "3", "--halving", "9,9"],  # exit 2 from the command
+        ["verify", family, "--format", "yaml"],  # exit 2 from argparse
+        ["verify", family, "--oracle", "--format", "json"],
+        ["verify", repeated],  # exit 3
+        ["table", family],
+        ["table", family, "--format", "json"],
+        ["sweep", "2..5"],
+        ["sweep", "2..4", "--format", "json"],
+        ["construct"],  # exit 2 from argparse
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((captured.out, captured.err, code))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}
+    fresh = []
+    for argv in sequence:
+        result = subprocess.run(
+            [sys.executable, "-m", "z2covers", *argv], capture_output=True, text=True, env=env,
+            cwd=tmp_path, timeout=120,
+        )
+        fresh.append((result.stdout, result.stderr, result.returncode))
+    assert [code for _, _, code in fresh] == [0, 0, 0, 0, 2, 2, 0, 3, 0, 0, 0, 0, 2]
+    for argv, mine, theirs in zip(sequence, in_process, fresh):
+        assert mine == theirs, argv
 
 
 # -- smoothness ---------------------------------------------------------------

@@ -232,3 +232,46 @@ def test_malformed_shapes_are_refused(edit):
     doc = building_data_to_dict(construct_family(3))
     edit(doc)
     _assert_rejected(doc)
+
+
+# A repeated key must be refused: json.loads alone keeps its last copy, so a
+# wrong first copy followed by the right one used to verify.  Each case names
+# the object, the repeated key and the wrong value written first.
+REPEATED_KEYS = {
+    "top level": ((), "points_p1", ["X1"]),
+    "group_spec": (("group_spec",), "rank", 99),
+    "points_c": (("points_c",), "F1", {"free": [0] * 7, "tors": [0, 0]}),
+    "L": (("L",), "100", {"a": 4, "degree": 3, "pic0": {"free": [0] * 7, "tors": [0, 0]}}),
+    "D": (("D",), "100", []),
+    "group element": (("L", "100", "pic0"), "tors", [1, 1]),
+    "component ref": (("D", "100", 0), "label", "E9"),
+}
+
+
+def _text_with_repeat(doc, path, key, first):
+    """The JSON text of ``doc`` with ``key`` of the object at ``path`` written
+    twice: ``first`` before the document's own value."""
+    target = doc
+    for step in path:
+        target = target[step]
+
+    def write(value):
+        if isinstance(value, dict):
+            items = list(value.items())
+            if value is target:
+                items.insert(0, (key, first))
+            return "{" + ", ".join(f"{json.dumps(k)}: {write(v)}" for k, v in items) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(write, value)) + "]"
+        return json.dumps(value)
+
+    return write(doc)
+
+
+@pytest.mark.parametrize("case", REPEATED_KEYS.values(), ids=REPEATED_KEYS.keys())
+def test_repeated_keys_are_refused(case):
+    bd = construct_family(3)
+    text = _text_with_repeat(building_data_to_dict(bd), *case)
+    assert building_data_from_dict(json.loads(text)) == bd  # the last copy is the right one
+    with pytest.raises(FormatError, match=f"repeated key {case[1]!r}"):
+        loads(text)
