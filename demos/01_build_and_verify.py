@@ -27,7 +27,8 @@ print(f"\nrelations: {relations.pairs_checked} pairs checked, ok = {relations.ok
 smoothness = verify_smoothness(bd)
 print(
     f"smoothness: reduced = {smoothness.reduced}, "
-    f"injective points = {smoothness.injective_points}, snc = {smoothness.snc}"
+    f"injective points = {smoothness.injective_points}, snc = {smoothness.snc}, "
+    f"independent crossings = {smoothness.independent_crossings}"
 )
 
 invariants = compute_invariants(bd)

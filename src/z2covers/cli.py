@@ -9,8 +9,8 @@ with a schema_version field and deterministic key order.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from functools import cache
 from typing import Any
 
@@ -63,7 +63,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def verify_report(bd: BuildingData) -> dict[str, Any]:
     relations = verify_relations(bd)
-    smoothness = verify_smoothness(bd)
     report: dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "relations": {
@@ -80,11 +79,7 @@ def verify_report(bd: BuildingData) -> dict[str, Any]:
             ],
             "trivial_characters": [str(chi) for chi in relations.trivial_characters],
         },
-        "smoothness": {
-            "reduced": smoothness.reduced,
-            "snc": smoothness.snc,
-            "injective_points": smoothness.injective_points,
-        },
+        "smoothness": asdict(verify_smoothness(bd)),
         "invariants": None,
         "canonical_map": None,
     }
@@ -122,10 +117,8 @@ def _render_verify_text(report: dict[str, Any]) -> str:
     for chi in rel["trivial_characters"]:
         lines.append(f"  L{chi} is the zero class")
     sm = report["smoothness"]
-    lines.append(
-        "smoothness: "
-        f"reduced={sm['reduced']} snc={sm['snc']} injective_points={sm['injective_points']}"
-    )
+    keys = ("reduced", "snc", "injective_points", "independent_crossings")
+    lines.append("smoothness: " + " ".join(f"{key}={sm[key]}" for key in keys))
     inv = report["invariants"]
     if inv:
         lines.append(
@@ -183,13 +176,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except ValueError as exc:
             report["oracle"] = {"error": str(exc)}
     if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(serialize.canonical_json(report), args.out)
     else:
         _emit(_render_verify_text(report), args.out)
     oracle = report.get("oracle", {"ok": True})
     if "error" in oracle:
         return EXIT_USAGE
-    passed = report["relations"]["ok"] and report["smoothness"]["snc"] and oracle["ok"]
+    smooth = report["smoothness"]["snc"] and report["smoothness"]["independent_crossings"]
+    passed = report["relations"]["ok"] and smooth and oracle["ok"]
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
@@ -215,7 +209,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 for row in rows
             ],
         }
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(serialize.canonical_json(doc), args.out)
     else:
         _emit(render_relations_table(rows) + "\n", args.out)
     return EXIT_OK if all(row.equal for row in rows) else EXIT_VERIFICATION
@@ -247,7 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     if args.format == "json":
         doc = {"schema_version": REPORT_SCHEMA_VERSION, "rows": rows}
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(serialize.canonical_json(doc), args.out)
     else:
         lines = ["   n    K^2    p_g   q   deg(Im)  degree  bpf"]
         for row in rows:

@@ -222,7 +222,7 @@ def relations_table(bd: BuildingData) -> tuple[RelationRow, ...]:
     zero = SurfaceClass.zero(bd.group_spec)
     # Pairs of generators 100, 010, 001 from the top; the table reads (lower, higher).
     generator_rows = sorted(
-        (r for r in relations(bd.n) if sum(r.chi.bits) == sum(r.chi_prime.bits) == 1),
+        (r for r in relations(bd.n) if r.chi.mask.bit_count() == r.chi_prime.mask.bit_count() == 1),
         key=lambda r: (r.chi_prime, r.chi),
         reverse=True,
     )

@@ -36,7 +36,7 @@ from types import MappingProxyType
 from typing import Any, Mapping, Sequence, Union
 
 from .abgroup import GroupElement, GroupSpec
-from .characters import Character, CoverElement, nontrivial_characters, nontrivial_elements, pair
+from .characters import Character, CoverElement, nontrivial_characters, nontrivial_elements
 from .picard import (
     CurveClass,
     PointOnC,
@@ -243,12 +243,14 @@ class Relation:
 @lru_cache(maxsize=None)
 def relations(n: int) -> tuple[Relation, ...]:
     """One relation per unordered pair of nontrivial characters, diagonal
-    included, in lexicographic pair order."""
-    elements = nontrivial_elements(n)
+    included, in lexicographic pair order.  chi(sigma) = -1 exactly when
+    the masks of chi and sigma share an odd number of bits."""
+    chars, elements = nontrivial_characters(n), nontrivial_elements(n)
+    odd = {chi: [s for s in elements if (chi.mask & s.mask).bit_count() & 1] for chi in chars}
     table = []
-    for chi, chi_prime in itertools.combinations_with_replacement(nontrivial_characters(n), 2):
-        product = chi * chi_prime
-        sigmas = tuple(s for s in elements if pair(chi, s) == pair(chi_prime, s) == -1)
+    for chi, chi_prime in itertools.combinations_with_replacement(chars, 2):
+        product, mask = chi * chi_prime, chi_prime.mask
+        sigmas = tuple(s for s in odd[chi] if (mask & s.mask).bit_count() & 1)
         table.append(Relation(chi, chi_prime, None if product.is_trivial() else product, sigmas))
     return tuple(table)
 
@@ -296,21 +298,27 @@ class SmoothnessReport:
     carry distinct degree-zero classes.
     ``snc``: both of the above; for fiber-type components this already
     makes the branch locus simple normal crossings.
+    ``independent_crossings``: no D_sigma holds both kinds of fiber.  Fibers
+    of opposite kinds cross, and the cover is smooth over a crossing iff its
+    two sigma are independent, i.e. distinct (Pardini 1991).  Smooth iff
+    this and ``snc`` hold.
     """
 
     reduced: bool
     snc: bool
     injective_points: bool
+    independent_crossings: bool
 
 
 def verify_smoothness(bd: BuildingData) -> SmoothnessReport:
-    """One pass over the components and one over the points: each set
-    collapses exactly the duplicates a comparison of all pairs would find."""
+    """One pass over the components, one over the points and one over D: each
+    set collapses exactly the duplicates a comparison of all pairs would find."""
     components = [(comp.kind, comp.label) for sigma in bd.elements for comp in bd.branch(sigma)]
     reduced = len(set(components)) == len(components)
     classes = [point.aj for point in bd.points_c.values()]
     injective = len(set(classes)) == len(classes)
-    return SmoothnessReport(reduced, reduced and injective, injective)
+    independent = all(len({comp.kind for comp in bd.branch(sigma)}) < 2 for sigma in bd.elements)
+    return SmoothnessReport(reduced, reduced and injective, injective, independent)
 
 
 class ConsistencyError(ValueError):
@@ -343,25 +351,21 @@ def derive_from_generators(
     if the diagonal relation 2 L_e == sum of D_sigma over e(sigma) = -1
     fails for a generator character e, or if any residual relation fails.
     """
-    generators = {
-        Character.from_string("100"): l100,
-        Character.from_string("010"): l010,
-        Character.from_string("001"): l001,
-    }
+    basis = [chi for chi in nontrivial_characters(3) if chi.mask.bit_count() == 1]
     branch = {sigma: tuple(branch.get(sigma, ())) for sigma in nontrivial_elements(3)}
     branch_classes = {sigma: branch_class(comps, group_spec) for sigma, comps in branch.items()}
     zero = SurfaceClass.zero(group_spec)
     # With e the highest generator in chi, the row (chi.e, e) comes after
     # every row that completes chi.e, so one pass in table order suffices.
-    L = dict(generators)
+    L = dict(zip(basis, (l001, l010, l100)))
     for r in relations(3):
-        completes = r.chi in L and r.chi_prime in generators and r.product is not None
+        completes = r.chi in L and r.chi_prime.mask.bit_count() == 1 and r.product is not None
         if completes and r.product not in L:
             L[r.product] = L[r.chi] + L[r.chi_prime] - r.branch_sum(branch_classes, zero)
 
     bd = BuildingData(3, group_spec, dict(points_c), tuple(points_p1), L, branch)
     report = verify_relations(bd)
-    diagonal = [f for f in report.failures if f.chi == f.chi_prime and f.chi in generators]
+    diagonal = [f for f in report.failures if f.chi == f.chi_prime and f.chi.mask.bit_count() == 1]
     if diagonal:
         raise ConsistencyError("diagonal relation fails for a generator character", diagonal)
     if not report.ok:

@@ -89,18 +89,18 @@ def _evaluate(bd: BuildingData) -> CoverInvariants:
         raise ValueError("2^n * S.S is not divisible by 4")
     k_squared = k2_scaled // 4
 
-    h0_by = {chi: h0(bd.L[chi] + ky) for chi in bd.characters}
-    p_g = sum(h0_by.values())
-
-    chi_sum = 0
+    h0_by, chi_sum = {}, 0
     for chi in bd.characters:
-        term = intersect(bd.L[chi], bd.L[chi] + ky)
+        adjoint = bd.L[chi] + ky
+        h0_by[chi] = h0(adjoint)
+        term = intersect(bd.L[chi], adjoint)
         if term % 2:
             # Cannot happen for honest classes on this base (adjunction makes
             # L.(L + K_Y) even); kept as a corruption guard.
             raise ValueError(f"L_{chi}.(L_{chi} + K_Y) is odd")
         chi_sum += term // 2
 
+    p_g = sum(h0_by.values())
     return CoverInvariants(k_squared, p_g, chi_sum, p_g - chi_sum + 1, h0_by)
 
 
@@ -125,10 +125,11 @@ class CanonicalSystemDescription:
 
 
 def canonical_system(bd: BuildingData) -> CanonicalSystemDescription:
-    """Characters with h^0(K_Y + L_chi) > 0 and their generator descriptions."""
-    _require_verified(bd)
+    """Characters with h^0(K_Y + L_chi) > 0 and their generator descriptions.
+    Refuses unverified data, as :func:`compute_invariants` does."""
+    h0_by = compute_invariants(bd).h0_by_character
     ky = canonical_class(bd.group_spec)
-    contributing = tuple(chi for chi in bd.characters if h0(bd.L[chi] + ky) > 0)
+    contributing = tuple(chi for chi in bd.characters if h0_by[chi] > 0)
     generators = []
     for chi in contributing:
         correction = tuple(

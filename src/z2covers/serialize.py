@@ -20,7 +20,8 @@ orders, a, degree, free and tors entries must be JSON integers; and no
 float, NaN or Infinity is accepted anywhere.
 
 :func:`dumps` writes the canonical text itself, byte for byte what
-``json.dumps(doc, sort_keys=True, indent=2)`` writes.  A group element is
+``json.dumps(doc, sort_keys=True, indent=2)`` writes; :func:`canonical_json`
+does the same for any JSON value, such as the command line's reports.  A group element is
 written from its nonzero free coordinates: each run of zeros between them
 is a slice of one block of zero lines, so the Python work per element is
 O(nonzeros) although the text stays dense.
@@ -252,11 +253,16 @@ def _encode(value: Any, pad: str, out: list[str]) -> None:
     out.append(f"\n{pad}{brackets[1]}")
 
 
-def dumps(bd: BuildingData) -> str:
+def canonical_json(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + "\n"``, without the pure-Python encoder."""
     out: list[str] = []
-    _encode(_document(bd, lambda element: element), "", out)
+    _encode(value, "", out)
     out.append("\n")
     return "".join(out)
+
+
+def dumps(bd: BuildingData) -> str:
+    return canonical_json(_document(bd, lambda element: element))
 
 
 def _refuse(token: str) -> None:

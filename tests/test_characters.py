@@ -79,3 +79,40 @@ def test_bad_bits_rejected():
         Character((0, 2, 1))
     with pytest.raises(ValueError):
         CoverElement(())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_a_character_never_equals_an_element(n):
+    for chi, sigma in zip(nontrivial_characters(n), nontrivial_elements(n)):
+        assert chi.bits == sigma.bits
+        assert chi != sigma and sigma != chi
+        assert len({chi, sigma}) == 2
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_sort_order_is_bit_string_order(n):
+    for vectors in (nontrivial_characters(n), elements(n)):
+        shuffled = sorted(vectors, key=lambda v: (v.mask * 37) % 256)
+        assert [str(v) for v in sorted(shuffled)] == sorted(str(v) for v in vectors)
+        assert [str(v) for v in vectors] == sorted(str(v) for v in vectors)
+    mixed = [Character.from_string(s) for s in ("1", "00", "0", "10", "011", "1000")]
+    assert [str(c) for c in sorted(mixed)] == sorted(str(c) for c in mixed)
+    with pytest.raises(TypeError):
+        Character.from_string("10") < CoverElement.from_string("11")
+
+
+def test_hash_agrees_with_equality():
+    for s in ("1", "0", "01", "110", "10110011"):
+        again = Character(tuple(int(c) for c in s))
+        assert again == Character.from_string(s) and hash(again) == hash(Character.from_string(s))
+        assert again.bits == tuple(int(c) for c in s) and str(again) == s
+    table = {chi: str(chi) for chi in nontrivial_characters(4)}
+    assert all(table[Character.from_string(s)] == s for s in table.values())
+
+
+@pytest.mark.parametrize("text", ["", "１00", "1_0", " 10", "10 ", "102", "٠1", "111111111"])
+def test_from_string_takes_only_ascii_bits(text):
+    with pytest.raises(ValueError):
+        Character.from_string(text)
+    with pytest.raises(ValueError):
+        CoverElement.from_string(text)

@@ -211,3 +211,12 @@ def test_repeated_key_is_a_parse_error(tmp_path, capsys):
     path.write_text(text.replace('"L": {\n', '"L": {\n"100": ' + wrong + ",\n"))
     assert main(["verify", str(path)]) == 3
     assert "repeated key '100'" in capsys.readouterr().err
+
+
+def test_a_fullwidth_bit_key_is_a_parse_error(tmp_path, capsys):
+    text = dumps(construct_family(3))
+    wrong = json.dumps({"a": 4, "degree": 3, "pic0": {"free": [0] * 7, "tors": [0, 0]}})
+    path = tmp_path / "fullwidth-key.json"
+    path.write_text(text.replace('"L": {\n', '"L": {\n"\uff1100": ' + wrong + ",\n"))
+    assert main(["verify", str(path)]) == 3
+    assert "ASCII bits" in capsys.readouterr().err

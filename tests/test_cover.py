@@ -1,12 +1,14 @@
 """Building data verification: relations, smoothness, generator completion."""
 
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
 
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, CoverElement, nontrivial_characters, nontrivial_elements
+from z2covers.cli import main
 from z2covers.construction import construct_family
 from z2covers.cover import (
     BuildingData,
@@ -19,6 +21,7 @@ from z2covers.cover import (
     verify_smoothness,
 )
 from z2covers.picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
+from z2covers.serialize import dumps
 
 
 def chi(s):
@@ -103,10 +106,53 @@ class TestVerifyRelations:
         assert pairs == sorted(pairs)
 
 
+def nodal_double_cover():
+    """k = 1, L_1 = E + (1, g) and D_1 = E1 + E2 + F_2g + F_0 on a rank-2 model.
+
+    2 L_1 = D_1 holds and the branch locus is SNC, but each E fiber meets
+    each F fiber inside the one branch divisor: the double cover has four
+    A_1 singularities.
+    """
+    spec = GroupSpec(2, ())
+    g = spec.free_generator(0)
+    points_c = {"P": PointOnC("P", 2 * g), "Q": PointOnC("Q", spec.zero())}
+    points_p1 = (PointOnP1("E1"), PointOnP1("E2"))
+    L = {chi("1"): SurfaceClass(1, CurveClass(1, g))}
+    fibers = [*map(EllipticFiber, points_p1), *map(RationalFiber, points_c.values())]
+    D = {sigma("1"): tuple(fibers)}
+    return BuildingData(1, spec, points_c, points_p1, L, D)
+
+
 class TestVerifySmoothness:
     def test_family_data_is_smooth(self):
         report = verify_smoothness(construct_family(3))
         assert report.reduced and report.snc and report.injective_points
+        assert report.independent_crossings
+
+    def test_crossing_fibers_over_one_sigma_are_a_defect(self):
+        bd = nodal_double_cover()
+        assert verify_relations(bd).ok
+        report = verify_smoothness(bd)
+        assert report.reduced and report.snc and report.injective_points
+        assert not report.independent_crossings
+
+    def test_the_nodal_cover_fails_verification(self, tmp_path, capsys):
+        path = tmp_path / "nodal.bd.json"
+        path.write_text(dumps(nodal_double_cover()))
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "snc=True" in out and "independent_crossings=False" in out
+        assert "K^2=-4" in out
+        assert main(["verify", str(path), "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["smoothness"]["independent_crossings"] is False
+
+    def test_a_rational_fiber_moved_beside_elliptic_ones_is_a_defect(self):
+        bd = construct_family(3)
+        d = dict(bd.D)
+        moved, *rest = d[sigma("111")]
+        d[sigma("111")], d[sigma("100")] = tuple(rest), d[sigma("100")] + (moved,)
+        report = verify_smoothness(replace(bd, D=d))
+        assert report.snc and not report.independent_crossings
 
     def test_component_repeated_across_branches_breaks_reducedness(self):
         bd = construct_family(3)

@@ -8,7 +8,8 @@ itself; the reference is the standard library's
 pair.  ``CurveOverFp.point_order`` is computed once per point; the reference
 assignment search tests each order without reading any stored order.
 ``cli.main`` builds its parser once per process; the reference is a fresh
-``python -m z2covers`` process per call.
+``python -m z2covers`` process per call.  The command line's JSON reports
+go through ``serialize.canonical_json``; the reference is again ``json.dumps``.
 """
 
 import argparse
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2covers import cli, curve_oracle, serialize
+from z2covers import characters, cli, curve_oracle, serialize
 from z2covers.abgroup import GroupElement, GroupSpec, halvings
 from z2covers.cli import main
 from z2covers.characters import nontrivial_characters, nontrivial_elements
@@ -244,7 +245,82 @@ def test_dumps_never_reaches_the_pure_python_encoder(monkeypatch):
     assert [serialize.dumps(bd) for bd in cases] == expected
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_matches_the_standard_encoder(value):
+    assert serialize.canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_reports_never_reach_the_pure_python_encoder(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python encoder was used")
+
+    family, mutant = tmp_path / "family3.json", tmp_path / "mutant.json"
+    mutated = next(single_torsion_mutations(construct_family(3)))[2]
+    family.write_text(serialize.dumps(construct_family(3)))
+    mutant.write_text(serialize.dumps(mutated))
+    runs = [
+        (["verify", str(family), "--oracle", "--format", "json"], 0),
+        (["verify", str(mutant), "--format", "json"], 1),
+        (["table", str(mutant), "--format", "json"], 1),
+        (["sweep", "2..6", "--format", "json"], 0),
+    ]
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({"a": [1]}, indent=2)
+    outputs = []
+    for argv, code in runs:
+        assert main(argv) == code
+        outputs.append(capsys.readouterr().out)
+    monkeypatch.undo()
+    for text in outputs:
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert outputs[1] == json.dumps(cli.verify_report(mutated), sort_keys=True, indent=2) + "\n"
+
+
 # -- linearity guards: what the family path may not do -----------------------
+
+
+def test_the_verify_path_never_builds_a_bit_tuple(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a bit tuple was built")
+
+    paths = []
+    mutant = next(single_torsion_mutations(construct_family(3)))[2]
+    for name, bd in [("family8", construct_family(8)), ("etale5", construct_etale(5)),
+                     ("mutant", mutant)]:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(serialize.dumps(bd))
+    monkeypatch.setattr(characters._BitVector, "bits", property(refuse))
+    for path in paths:
+        for argv in (["verify", str(path)], ["verify", str(path), "--oracle", "--format", "json"]):
+            assert main(argv) in (0, 1, 2)
+    assert main(["table", str(paths[0])]) == 0
+
+
+def test_invariants_add_k_y_once_per_character(monkeypatch):
+    bd = construct_family(22)
+    assert bd.verification.ok
+    adds = 0
+    original = SurfaceClass.__add__
+
+    def counting_add(self, other):
+        nonlocal adds
+        adds += 1
+        return original(self, other)
+
+    monkeypatch.setattr(SurfaceClass, "__add__", counting_add)
+    compute_invariants(bd)
+    assert canonical_map_degree(bd).degree == 8
+    assert adds == 7 + 1 + 1  # L_chi + K_Y per character, S = 2 K_Y + B, one canonical generator
 
 
 def test_the_family_path_never_reads_dense_coordinates(tmp_path, monkeypatch, capsys):
@@ -377,18 +453,21 @@ def test_the_shared_parser_answers_like_a_fresh_process(tmp_path, monkeypatch, c
 
 
 def reference_smoothness(bd):
-    """Compare every pair of components and every pair of points."""
-    components = [(c.kind, c.label) for sigma in bd.elements for c in bd.branch(sigma)]
-    reduced = all(
-        components[i] != components[j]
-        for i in range(len(components))
-        for j in range(i + 1, len(components))
-    )
+    """Compare every pair of components and every pair of points.
+
+    Two fiber components meet in a node exactly when their kinds differ;
+    the node is a defect when both components lie over the same sigma.
+    """
+    placed = [(sigma, c.kind, c.label) for sigma in bd.elements for c in bd.branch(sigma)]
+    pairs = [(placed[i], placed[j]) for i in range(len(placed)) for j in range(i + 1, len(placed))]
+    reduced = all(x[1:] != y[1:] for x, y in pairs)
+    nodes = [(x, y) for x, y in pairs if x[1] != y[1]]
+    independent = all(x[0] != y[0] for x, y in nodes)
     points = sorted(bd.points_c.values(), key=lambda p: p.label)
     injective = all(
         points[i].aj != points[j].aj for i in range(len(points)) for j in range(i + 1, len(points))
     )
-    return SmoothnessReport(reduced, reduced and injective, injective)
+    return SmoothnessReport(reduced, reduced and injective, injective, independent)
 
 
 @st.composite

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2covers import cover
+from z2covers import characters, cover
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import mul, nontrivial_characters, nontrivial_elements, pair
 from z2covers.cli import verify_report
@@ -119,20 +119,42 @@ def assert_matches_reference(bd):
 # -- the table itself ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_table_lists_every_pair_once_with_its_branch_elements(n):
-    chars = nontrivial_characters(n)
+    chars, elements = nontrivial_characters(n), nontrivial_elements(n)
     table = relations(n)
     assert len(table) == 2 ** (n - 1) * (2**n - 1)
     assert [(r.chi, r.chi_prime) for r in table] == list(
         itertools.combinations_with_replacement(chars, 2)
     )
+    # pair() is called once per (character, element); each character's -1
+    # set is a bitset over the positions in the element order.
+    minus = {
+        chi: sum(1 << i for i, s in enumerate(elements) if pair(chi, s) == -1) for chi in chars
+    }
+    position = {s: i for i, s in enumerate(elements)}
     for r in table:
         product = mul(r.chi, r.chi_prime)
         assert r.product == (None if product.is_trivial() else product)
-        assert r.sigmas == tuple(
-            s for s in nontrivial_elements(n) if pair(r.chi, s) == -1 and pair(r.chi_prime, s) == -1
-        )
+        places = [position[s] for s in r.sigmas]
+        assert places == sorted(set(places))
+        assert sum(1 << i for i in places) == minus[r.chi] & minus[r.chi_prime]
+
+
+def test_the_table_never_calls_the_pairing(monkeypatch):
+    def refuse(chi, sigma):
+        raise AssertionError("relations(n) called pair()")
+
+    monkeypatch.setattr(characters, "pair", refuse)
+    monkeypatch.setattr(cover, "pair", refuse, raising=False)
+    with pytest.raises(AssertionError):
+        nontrivial_characters(2)[0](nontrivial_elements(2)[0])
+    relations.cache_clear()
+    try:
+        table = relations(6)
+    finally:
+        relations.cache_clear()
+    assert len(table) == 2016
 
 
 def test_table_is_built_once_per_n():

@@ -275,3 +275,32 @@ def test_repeated_keys_are_refused(case):
     assert building_data_from_dict(json.loads(text)) == bd  # the last copy is the right one
     with pytest.raises(FormatError, match=f"repeated key {case[1]!r}"):
         loads(text)
+
+
+# A bit-string key is ASCII 0/1 only.  int() reads any Unicode digit, and
+# int(s, 2) also skips "_" and surrounding whitespace, so each key below
+# once stood for a real index: a wrong L class written before the right one,
+# or an empty D entry after the real one, replaced it without a word.
+def _torsion_class(a, degree, tors):
+    return {"a": a, "degree": degree, "pic0": {"free": [0] * 7, "tors": tors}}
+
+
+NON_ASCII_KEYS = {
+    "L fullwidth 1": ("L", "１00", _torsion_class(4, 3, [0, 0])),
+    "L arabic-indic 1": ("L", "1١0", _torsion_class(0, 0, [1, 1])),
+    "L underscore": ("L", "0_1", _torsion_class(0, 0, [1, 0])),
+    "L leading space": ("L", " 10", _torsion_class(0, 0, [0, 1])),
+    "D fullwidth 1": ("D", "１00", []),
+    "D arabic-indic 1": ("D", "1١0", []),
+    "D underscore": ("D", "1_1", []),
+    "D trailing tab": ("D", "111\t", []),
+}
+
+
+@pytest.mark.parametrize("case", NON_ASCII_KEYS.values(), ids=NON_ASCII_KEYS.keys())
+def test_bit_string_keys_are_ascii_only(case):
+    section, key, value = case
+    doc = building_data_to_dict(construct_family(3))
+    doc[section] = {key: value, **doc[section]} if section == "L" else {**doc[section], key: value}
+    with pytest.raises(FormatError, match="ASCII bits"):
+        loads(json.dumps(doc))
