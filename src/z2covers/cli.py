@@ -1,18 +1,18 @@
 """Command line surface: construct, verify, table, sweep.
 
 Exit codes are a stable contract: 0 success, 1 verification failure or
-oracle FAIL, 2 usage error or an oracle that cannot run on the given curve,
-3 file parse error.  Machine-readable reports are single JSON documents
-with a schema_version field and deterministic key order.
+oracle FAIL, 2 usage error (an --out that cannot be written, or an oracle
+that cannot run on the given curve), 3 an input file that cannot be read or
+parsed.  A report is built as JSON values and written by one writer: as one
+JSON document with a schema_version field and sorted keys, or as text.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from functools import cache
-from typing import Any
+from typing import Any, Callable
 
 from . import serialize
 from .construction import construct_family, relations_table, render_relations_table
@@ -28,12 +28,17 @@ EXIT_PARSE = 3
 REPORT_SCHEMA_VERSION = 1
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out`` or stdout; a usage error if ``out`` cannot be written."""
+    if out is not None:
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            return _fail(f"cannot write --out: {exc}", EXIT_USAGE)
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
 def _fail(message: str, code: int) -> int:
@@ -41,11 +46,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _report(args: argparse.Namespace, doc: dict[str, Any], text: Callable[[dict], str]) -> int:
+    """Write the report ``doc`` as --format asks (``text`` renders it) with :func:`_emit`."""
+    return _emit(serialize.canonical_json(doc) if args.format == "json" else text(doc), args.out)
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     if args.n < 2:
         return _fail("--n must be at least 2", EXIT_USAGE)
     halving = None
-    if args.halving:
+    if args.halving is not None:
         try:
             halving = [int(part) for part in args.halving.split(",")]
         except ValueError:
@@ -54,58 +64,28 @@ def cmd_construct(args: argparse.Namespace) -> int:
         bd = construct_family(args.n, halving)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    text = serialize.dumps(bd)
-    _emit(text, args.out)
-    if args.out:
+    code = _emit(serialize.dumps(bd), args.out)
+    if args.out and code == EXIT_OK:
         print(f"wrote building data for n = {args.n} to {args.out}")
-    return EXIT_OK
+    return code
 
 
 def verify_report(bd: BuildingData) -> dict[str, Any]:
     relations = verify_relations(bd)
     report: dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "relations": {
-            "ok": relations.ok,
-            "pairs_checked": relations.pairs_checked,
-            "failures": [
-                {
-                    "chi": str(f.chi),
-                    "chi_prime": str(f.chi_prime),
-                    "lhs": serialize.surface_class_to_dict(f.lhs),
-                    "rhs": serialize.surface_class_to_dict(f.rhs),
-                }
-                for f in relations.failures
-            ],
-            "trivial_characters": [str(chi) for chi in relations.trivial_characters],
-        },
-        "smoothness": asdict(verify_smoothness(bd)),
+        "relations": relations,
+        "smoothness": verify_smoothness(bd),
         "invariants": None,
         "canonical_map": None,
     }
     if relations.ok:
-        invariants = compute_invariants(bd)
-        report["invariants"] = {
-            "k_squared": invariants.k_squared,
-            "p_g": invariants.p_g,
-            "chi": invariants.chi,
-            "q": invariants.q,
-            "h0_by_character": {
-                str(chi): value for chi, value in invariants.h0_by_character.items()
-            },
-        }
+        report["invariants"] = compute_invariants(bd)
         try:
-            cm = canonical_map_degree(bd)
-            report["canonical_map"] = {
-                "factors_through_cover": cm.factors_through_cover,
-                "degree": cm.degree,
-                "image_degree": cm.image_degree,
-                "base_point_free": cm.base_point_free,
-                "note": cm.note,
-            }
+            report["canonical_map"] = canonical_map_degree(bd)
         except ValueError as exc:
             report["canonical_map"] = {"note": str(exc)}
-    return report
+    return serialize.plain(report)
 
 
 def _render_verify_text(report: dict[str, Any]) -> str:
@@ -149,7 +129,7 @@ def _render_verify_text(report: dict[str, Any]) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         bd = serialize.load(args.file)
-    except (OSError, serialize.FormatError) as exc:
+    except serialize.FormatError as exc:
         return _fail(str(exc), EXIT_PARSE)
     report = verify_report(bd)
     if args.oracle:
@@ -166,21 +146,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "invariant_factors": list(factors),
                 "ok": result.ok,
                 "relations_checked": result.relations_checked,
-                "relation_failures": [
-                    [str(chi), str(chi_prime)]
-                    for chi, chi_prime in result.relation_failures
-                ],
+                "relation_failures": serialize.plain(result.relation_failures),
                 "injective": result.injective,
                 "torsion_faithful": result.torsion_faithful,
             }
         except ValueError as exc:
             report["oracle"] = {"error": str(exc)}
-    if args.format == "json":
-        _emit(serialize.canonical_json(report), args.out)
-    else:
-        _emit(_render_verify_text(report), args.out)
+    written = _report(args, report, _render_verify_text)
     oracle = report.get("oracle", {"ok": True})
-    if "error" in oracle:
+    if written != EXIT_OK or "error" in oracle:
         return EXIT_USAGE
     smooth = report["smoothness"]["snc"] and report["smoothness"]["independent_crossings"]
     passed = report["relations"]["ok"] and smooth and oracle["ok"]
@@ -189,30 +163,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     try:
-        bd = serialize.load(args.file)
-    except (OSError, serialize.FormatError) as exc:
+        rows = relations_table(serialize.load(args.file))
+    except ValueError as exc:  # a serialize.FormatError, or data not of the family
         return _fail(str(exc), EXIT_PARSE)
-    try:
-        rows = relations_table(bd)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-    if args.format == "json":
-        doc = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "rows": [
-                {
-                    "lhs": list(row.lhs_terms),
-                    "middle": list(row.middle_terms),
-                    "rhs": row.rhs_symbol,
-                    "equal": row.equal,
-                }
-                for row in rows
-            ],
-        }
-        _emit(serialize.canonical_json(doc), args.out)
-    else:
-        _emit(render_relations_table(rows) + "\n", args.out)
-    return EXIT_OK if all(row.equal for row in rows) else EXIT_VERIFICATION
+    doc = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "rows": [
+            {
+                "lhs": list(row.lhs_terms),
+                "middle": list(row.middle_terms),
+                "rhs": row.rhs_symbol,
+                "equal": row.equal,
+            }
+            for row in rows
+        ],
+    }
+    written = _report(args, doc, lambda _: render_relations_table(rows) + "\n")
+    return written or (EXIT_OK if all(row.equal for row in rows) else EXIT_VERIFICATION)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -239,19 +206,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "base_point_free": cm.base_point_free,
             }
         )
-    if args.format == "json":
-        doc = {"schema_version": REPORT_SCHEMA_VERSION, "rows": rows}
-        _emit(serialize.canonical_json(doc), args.out)
-    else:
-        lines = ["   n    K^2    p_g   q   deg(Im)  degree  bpf"]
-        for row in rows:
-            lines.append(
-                f"{row['n']:>4} {row['k_squared']:>6} {row['p_g']:>6} "
-                f"{row['q']:>3} {row['image_degree']:>9} {row['degree']:>7}  "
-                f"{str(row['base_point_free']).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    doc = {"schema_version": REPORT_SCHEMA_VERSION, "rows": rows}
+    return _report(args, doc, _render_sweep_text)
+
+
+def _render_sweep_text(doc: dict[str, Any]) -> str:
+    lines = ["   n    K^2    p_g   q   deg(Im)  degree  bpf"]
+    for row in doc["rows"]:
+        lines.append(
+            f"{row['n']:>4} {row['k_squared']:>6} {row['p_g']:>6} "
+            f"{row['q']:>3} {row['image_degree']:>9} {row['degree']:>7}  "
+            f"{str(row['base_point_free']).lower()}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,21 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--oracle-prime", type=int, default=2003)
     p_verify.add_argument("--oracle-a", type=int, default=-1)
     p_verify.add_argument("--oracle-b", type=int, default=0)
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.add_argument("--out", help="write the report here instead of stdout")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="render the six defining relations")
     p_table.add_argument("file")
-    p_table.add_argument("--format", choices=("text", "json"), default="text")
-    p_table.add_argument("--out")
     p_table.set_defaults(func=cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="invariants across a range of n")
     p_sweep.add_argument("range", help="inclusive range, e.g. 3..10")
-    p_sweep.add_argument("--format", choices=("text", "json"), default="text")
-    p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=cmd_sweep)
+
+    for reporter in (p_verify, p_table, p_sweep):
+        reporter.add_argument("--format", choices=("text", "json"), default="text")
+        reporter.add_argument("--out", help="write the report here instead of stdout")
     return parser
 
 

@@ -17,14 +17,17 @@ index present even when empty.  Parsing tolerates missing branch indices
 (read as empty) and rejects everything else malformed with FormatError:
 every object must carry exactly its keys, each of them once; rank, torsion
 orders, a, degree, free and tors entries must be JSON integers; and no
-float, NaN or Infinity is accepted anywhere.
+float, NaN or Infinity is accepted anywhere.  A file that cannot be read,
+is not UTF-8, or has integers or nesting beyond what ``json.loads`` takes
+is a FormatError too.
 
 :func:`dumps` writes the canonical text itself, byte for byte what
 ``json.dumps(doc, sort_keys=True, indent=2)`` writes; :func:`canonical_json`
-does the same for any JSON value, such as the command line's reports.  A group element is
-written from its nonzero free coordinates: each run of zeros between them
-is a slice of one block of zero lines, so the Python work per element is
-O(nonzeros) although the text stays dense.
+does the same for any JSON value, such as the command line's reports, which
+:func:`plain` makes of the verdicts.  A group element is written from its
+nonzero free coordinates: each run of zeros between them is a slice of one
+block of zero lines, so the Python work per element is O(nonzeros) although
+the text stays dense.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
+from collections.abc import Mapping
+from dataclasses import fields, is_dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
@@ -109,6 +114,22 @@ def surface_class_from_dict(doc: Any, spec: GroupSpec) -> SurfaceClass:
         _integer(doc["a"], "a"),
         CurveClass(_integer(doc["degree"], "degree"), element_from_dict(doc["pic0"], spec)),
     )
+
+
+def plain(verdict: Any) -> Any:
+    """``verdict`` as JSON values: a surface class as in the file, a Z₂ⁿ vector as its bit
+    string, a dataclass by field name, a mapping with string keys, a tuple as a list."""
+    if type(verdict) is SurfaceClass:
+        return surface_class_to_dict(verdict)
+    if isinstance(verdict, (Character, CoverElement)):
+        return str(verdict)
+    if is_dataclass(verdict):
+        return {field.name: plain(getattr(verdict, field.name)) for field in fields(verdict)}
+    if isinstance(verdict, Mapping):
+        return {str(key): plain(value) for key, value in verdict.items()}
+    if isinstance(verdict, tuple):
+        return [plain(value) for value in verdict]
+    return verdict
 
 
 def _document(bd: BuildingData, element: Callable[[GroupElement], Any]) -> dict[str, Any]:
@@ -283,16 +304,17 @@ def loads(text: str) -> BuildingData:
         doc = json.loads(
             text, object_pairs_hook=_unique_keys, parse_float=_refuse, parse_constant=_refuse
         )
-    except json.JSONDecodeError as exc:
+    except FormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # the digit limit raises a plain ValueError
         raise FormatError(f"not valid JSON: {exc}") from exc
     return building_data_from_dict(doc)
 
 
-def save(bd: BuildingData, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(bd))
-
-
 def load(path: str) -> BuildingData:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(str(exc)) from exc
+    return loads(text)

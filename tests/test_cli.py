@@ -1,13 +1,14 @@
 """Command line contract: exit codes, reports, round trips."""
 
 import json
+import pathlib
 from dataclasses import replace
 
 import pytest
 
 from z2covers import cli
 from z2covers.cli import main, verify_report
-from z2covers.construction import construct_family, single_torsion_mutations
+from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.serialize import dumps, loads
 
 
@@ -46,6 +47,7 @@ class TestConstruct:
     def test_bad_halving_flag_is_a_usage_error(self):
         assert main(["construct", "--n", "3", "--halving", "a,b,c"]) == 2
         assert main(["construct", "--n", "3", "--halving", "1,2"]) == 2
+        assert main(["construct", "--n", "3", "--halving", ""]) == 2
 
     def test_stdout_emission(self, capsys):
         assert main(["construct", "--n", "2"]) == 0
@@ -220,3 +222,71 @@ def test_a_fullwidth_bit_key_is_a_parse_error(tmp_path, capsys):
     path.write_text(text.replace('"L": {\n', '"L": {\n"\uff1100": ' + wrong + ",\n"))
     assert main(["verify", str(path)]) == 3
     assert "ASCII bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"a": "\xff"}',  # not UTF-8
+        b'{"a": ' + b"9" * 5000 + b"}",  # past the interpreter's int-digit limit
+        b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+    ],
+    ids=["non-utf8", "5000-digits", "deep-nesting"],
+)
+def test_an_unreadable_document_is_a_parse_error(tmp_path, capsys, command, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--n", "3"], ["verify", "FILE"], ["table", "FILE"], ["sweep", "2..3"]],
+    ids=lambda argv: argv[0],
+)
+def test_an_unwritable_out_is_a_usage_error(tmp_path, family_file, capsys, argv):
+    target = tmp_path / "missing" / "report.txt"
+    argv = [str(family_file) if arg == "FILE" else arg for arg in argv]
+    assert main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out") and captured.err.count("\n") == 1
+    assert not target.parent.exists()
+    assert main([*argv, "--out", ""]) == 2  # an empty path is not stdout
+    assert capsys.readouterr().out == ""
+
+
+# Recorded reports: a key or byte that the rendering of the verdicts loses or
+# changes fails here.
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
+GOLDEN_RUNS = [
+    ("verify_family3.txt", ["verify", "family3"], 0),
+    ("verify_family3.json", ["verify", "family3", "--format", "json"], 0),
+    ("verify_mutant3.txt", ["verify", "mutant3"], 1),
+    ("verify_mutant3.json", ["verify", "mutant3", "--format", "json"], 1),
+    ("verify_etale3.txt", ["verify", "etale3"], 0),
+    ("verify_etale3.json", ["verify", "etale3", "--format", "json"], 0),
+    ("verify_oracle_family3.json", ["verify", "family3", "--oracle", "--format", "json"], 0),
+    ("table_family3.json", ["table", "family3", "--format", "json"], 0),
+    ("sweep_2_6.json", ["sweep", "2..6", "--format", "json"], 0),
+]
+
+
+@pytest.mark.parametrize("golden, argv, code", GOLDEN_RUNS, ids=[run[0] for run in GOLDEN_RUNS])
+def test_reports_match_the_recorded_bytes(tmp_path, capsys, golden, argv, code):
+    documents = {
+        "family3": construct_family(3),
+        "mutant3": next(single_torsion_mutations(construct_family(3)))[2],
+        "etale3": construct_etale(3),
+    }
+    for name, bd in documents.items():
+        (tmp_path / name).write_text(dumps(bd), encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in documents else arg for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / golden).read_bytes()
