@@ -1,9 +1,10 @@
 """Re-check the abstract group identities with honest curve arithmetic.
 
 The group model is free-by-finite; a curve over a prime field is neither.
-Still, every identity used by the construction involves finitely many
-points with small coefficients, so placing the generators carefully inside
-a large cyclic factor makes the finite check conclusive.  The curve
+Still, the oracle evaluates finitely many elements, so the generators'
+images are certified on exactly those before they are used: distinct
+registered points stay distinct, and a relation the model finds broken
+stays broken on the curve.  The curve
 y^2 = x^3 - x has full 2-torsion over every prime field (its cubic always
 splits), which is what the eta classes need.
 

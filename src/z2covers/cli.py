@@ -1,10 +1,11 @@
 """Command line surface: construct, verify, table, sweep.
 
 Exit codes are a stable contract: 0 success, 1 verification failure or
-oracle FAIL, 2 usage error (an --out that cannot be written, or an oracle
-that cannot run on the given curve), 3 an input file that cannot be read or
-parsed.  A report is built as JSON values and written by one writer: as one
-JSON document with a schema_version field and sorted keys, or as text.
+oracle FAIL, 2 usage error (an --out that cannot be written, an oracle that
+cannot run on the given curve, or a table of data not of the family), 3 an
+input file that cannot be read or parsed.  A report is built as JSON values
+and written by one writer: as one JSON document with a schema_version field
+and sorted keys, or as text.
 """
 
 from __future__ import annotations
@@ -163,9 +164,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     try:
-        rows = relations_table(serialize.load(args.file))
-    except ValueError as exc:  # a serialize.FormatError, or data not of the family
+        bd = serialize.load(args.file)
+    except serialize.FormatError as exc:
         return _fail(str(exc), EXIT_PARSE)
+    try:
+        rows = relations_table(bd)
+    except ValueError as exc:  # the file parses, but its data is not of the family
+        return _fail(str(exc), EXIT_USAGE)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "rows": [

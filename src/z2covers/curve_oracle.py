@@ -9,12 +9,10 @@ structure by brute-force order computation, which keeps the oracle
 independent of the algebra it audits.
 
 Free generators of the abstract model cannot map to infinite-order points
-over a finite field.  The identities at hand are linear with small
-coefficients, so it suffices to place the free generators inside a cyclic
-factor large enough that none of the finitely many required nonvanishing
-combinations can wrap around; :func:`find_assignment` searches for such a
-placement and verifies every constraint directly on the curve before
-accepting it.
+over a finite field, so a map to the curve may send a nonzero combination
+to O.  :func:`find_assignment` accepts a placement only when it is certified
+on what the oracle evaluates: the registered points keep distinct images,
+and every relation the model finds broken stays broken on the curve.
 """
 
 from __future__ import annotations
@@ -27,9 +25,10 @@ from math import gcd
 
 from .abgroup import GroupElement
 from .characters import Character
-from .cover import BranchComponent, BuildingData, RationalFiber, relations
+from .cover import BranchComponent, BuildingData, RationalFiber, relations, verify_relations
 
 MAX_EXHAUSTIVE_PRIME = 10_000
+ATTEMPTS = 400  # draws of free-generator images before find_assignment gives up
 
 
 def is_prime(n: int) -> bool:
@@ -223,37 +222,37 @@ class RealizationReport:
     torsion_faithful: bool
 
 
-class _Realizer:
-    """Evaluation of abstract elements as curve points."""
-
-    def __init__(self, curve: CurveOverFp, assignment: Assignment):
-        self.curve = curve
-        self.free_points = assignment.free_points
-        self.torsion_points = assignment.torsion_points
-
-    def __call__(self, element: GroupElement) -> CurvePoint:
-        curve = self.curve
-        total = INFINITY
-        for i, k in element.terms:
-            total = curve.add(total, curve.scale(k, self.free_points[i]))
-        for k, point in zip(element.tors, self.torsion_points):
-            if k:
-                total = curve.add(total, curve.scale(k, point))
-        return total
+def _image(curve: CurveOverFp, assignment: Assignment, element: GroupElement) -> CurvePoint:
+    """The curve point of ``element`` under ``assignment``."""
+    total = INFINITY
+    for i, k in element.terms:
+        total = curve.add(total, curve.scale(k, assignment.free_points[i]))
+    for k, point in zip(element.tors, assignment.torsion_points):
+        if k:
+            total = curve.add(total, curve.scale(k, point))
+    return total
 
 
-def coefficient_bound(bd: BuildingData) -> int:
-    """Twice the largest free-coefficient mass in the data.
+def _torsion_faithful(curve: CurveOverFp, bd: BuildingData, assignment: Assignment) -> bool:
+    """Only the zero element of the model's 2-torsion maps to O."""
+    return all(
+        _image(curve, assignment, t).is_infinity == t.is_zero()
+        for t in bd.group_spec.two_torsion()
+    )
 
-    Relation sides add at most two data classes, so twice the largest
-    single-element bound covers every combination the oracle evaluates.
-    """
-    biggest = 0
-    for point in bd.points_c.values():
-        biggest = max(biggest, point.aj.l1_free())
-    for cls in bd.L.values():
-        biggest = max(biggest, cls.c.pic0.l1_free())
-    return 2 * biggest
+
+def _point_images(
+    curve: CurveOverFp, bd: BuildingData, assignment: Assignment
+) -> tuple[dict[str, CurvePoint], tuple[tuple[str, str], ...]]:
+    """Each registered point's image by label, and the sorted pairs of labels
+    that share an image, from one pass that groups the labels by image."""
+    images: dict[str, CurvePoint] = {}
+    by_image: dict[CurvePoint, list[str]] = {}
+    for label in sorted(bd.points_c):
+        images[label] = point = _image(curve, assignment, bd.points_c[label].aj)
+        by_image.setdefault(point, []).append(label)
+    pairs = (pair for labels in by_image.values() for pair in itertools.combinations(labels, 2))
+    return images, tuple(sorted(pairs))
 
 
 def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> RealizationReport:
@@ -278,22 +277,11 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
                 f"torsion generator image {point!r} is not {m}-torsion on the curve"
             )
 
-    phi = _Realizer(curve, assignment)
+    torsion_faithful = _torsion_faithful(curve, bd, assignment)
+    realized, collisions = _point_images(curve, bd, assignment)
 
-    torsion_faithful = True
-    for t in spec.two_torsion():
-        if not t.is_zero() and phi(t).is_infinity:
-            torsion_faithful = False
-
-    collisions = []
-    labeled = sorted(bd.points_c.values(), key=lambda pt: pt.label)
-    realized = {pt.label: phi(pt.aj) for pt in labeled}
-    for p1, p2 in itertools.combinations(labeled, 2):
-        if realized[p1.label] == realized[p2.label]:
-            collisions.append((p1.label, p2.label))
-
-    # (E-coefficient, degree, point) triples: phi maps each class and branch
-    # component on its own, never a sum formed in the group model.
+    # (E-coefficient, degree, point) triples: each class and branch component
+    # is mapped on its own, never a sum formed in the group model.
     def add(u: tuple, v: tuple) -> tuple:
         return u[0] + v[0], u[1] + v[1], curve.add(u[2], v[2])
 
@@ -303,7 +291,10 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
         return 1, 0, INFINITY
 
     zero = (0, 0, INFINITY)
-    L = {chi: (cls.a, cls.c.degree, phi(cls.c.pic0)) for chi, cls in bd.L.items()}
+    L = {
+        chi: (cls.a, cls.c.degree, _image(curve, assignment, cls.c.pic0))
+        for chi, cls in bd.L.items()
+    }
     D = {sigma: reduce(add, map(component, bd.branch(sigma)), zero) for sigma in bd.elements}
     table = relations(bd.n)
     relation_failures = []
@@ -312,43 +303,27 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
         if lhs != rhs:
             relation_failures.append((r.chi, r.chi_prime))
 
-    ok = torsion_faithful and not collisions and not relation_failures
+    injective = not collisions
+    ok = torsion_faithful and injective and not relation_failures
     return RealizationReport(
-        ok,
-        len(table),
-        tuple(relation_failures),
-        not collisions,
-        tuple(collisions),
-        torsion_faithful,
+        ok, len(table), tuple(relation_failures), injective, collisions, torsion_faithful
     )
 
 
-def find_assignment(
-    bd: BuildingData,
-    curve: CurveOverFp,
-    *,
-    seed: int = 0,
-    attempts: int = 400,
-) -> Assignment:
+def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     """Search for generator images that make the realization faithful.
 
     Torsion generators are mapped to points of exactly matching order with
-    the whole torsion subgroup embedded faithfully.  Free generators are
-    mapped to multiples of a point of maximal order; candidate multipliers
-    are drawn from a seeded generator and accepted once every registered
-    point realizes to a distinct curve point.  The curve's largest cyclic
-    factor must leave the data's coefficient combinations room to stay
-    nonzero, which :func:`coefficient_bound` quantifies.
+    the model's 2-torsion embedded faithfully.  Free generators are mapped
+    to multiples of a point of maximal order, the multipliers drawn from
+    ``random.Random(0)``.  The first of :data:`ATTEMPTS` draws that is
+    certified is accepted: the registered points have distinct images, and
+    the degree-zero difference of each relation the model finds broken
+    (with equal E-coefficients and degrees) maps to a point other than O,
+    so the curve cannot mend it.
     """
     spec = bd.group_spec
-    n, (_, d2) = curve.group_structure()
-    bound = coefficient_bound(bd)
-    needed = 2 * bound * max(1, spec.rank)
-    if d2 < needed:
-        raise ValueError(
-            f"largest cyclic factor {d2} is too small for this data "
-            f"(needs at least {needed}); pick a larger prime"
-        )
+    _, (_, d2) = curve.group_structure()
 
     by_order: dict[int, list[CurvePoint]] = {}
     for m in set(spec.torsion_orders):
@@ -356,27 +331,25 @@ def find_assignment(
         if not by_order[m]:
             raise ValueError(f"curve has no point of order {m}")
 
-    torsion_points = None
-    for candidate in itertools.product(*(by_order[m] for m in spec.torsion_orders)):
-        trial = Assignment((INFINITY,) * spec.rank, tuple(candidate))
-        phi = _Realizer(curve, trial)
-        if all(phi(t).is_infinity == t.is_zero() for t in spec.two_torsion()):
-            torsion_points = tuple(candidate)
-            break
+    candidates = itertools.product(*(by_order[m] for m in spec.torsion_orders))
+    no_free = (INFINITY,) * spec.rank
+    faithful = (c for c in candidates if _torsion_faithful(curve, bd, Assignment(no_free, c)))
+    torsion_points = next(faithful, None)
     if torsion_points is None:
         raise ValueError("curve torsion cannot embed the model's torsion subgroup")
 
-    generator = next(
-        pt for pt in curve.points() if curve.point_order(pt) == d2
-    )
-    rng = random.Random(seed)
-    ajs = [pt.aj for pt in bd.points_c.values()]
-    for _ in range(attempts):
+    broken = [
+        f.lhs.c.pic0 - f.rhs.c.pic0
+        for f in verify_relations(bd).failures
+        if (f.lhs.a, f.lhs.c.degree) == (f.rhs.a, f.rhs.c.degree)
+    ]
+    generator = next(pt for pt in curve.points() if curve.point_order(pt) == d2)
+    rng = random.Random(0)
+    for _ in range(ATTEMPTS):
         multipliers = [rng.randrange(1, d2) for _ in range(spec.rank)]
         free_points = tuple(curve.scale(c, generator) for c in multipliers)
         assignment = Assignment(free_points, torsion_points)
-        phi = _Realizer(curve, assignment)
-        images = [phi(aj) for aj in ajs]
-        if len(set(images)) == len(images):
+        _, collisions = _point_images(curve, bd, assignment)
+        if not collisions and not any(_image(curve, assignment, x).is_infinity for x in broken):
             return assignment
-    raise ValueError(f"no faithful assignment found in {attempts} attempts")
+    raise ValueError(f"no faithful assignment found in {ATTEMPTS} attempts")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
@@ -306,8 +307,11 @@ def loads(text: str) -> BuildingData:
         )
     except FormatError:
         raise
-    except (ValueError, RecursionError) as exc:  # the digit limit raises a plain ValueError
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # the interpreter's digit limit; its text advises a Python call
+        limit = sys.get_int_max_str_digits()
+        raise FormatError(f"an integer has more than {limit} digits") from exc
     return building_data_from_dict(doc)
 
 

@@ -127,7 +127,7 @@ class TestVerify:
         "flags",
         [
             ["--oracle-a", "0", "--oracle-b", "0"],  # singular curve
-            ["--oracle-prime", "5"],  # no room for the family's coefficients
+            ["--oracle-prime", "5"],  # no faithful assignment on so small a curve
             ["--oracle-prime", "9"],  # not a prime
         ],
     )
@@ -140,6 +140,20 @@ class TestVerify:
     def test_oracle_on_a_mutant_is_a_verification_failure(self, mutated_file, capsys):
         assert main(["verify", str(mutated_file), "--oracle", "--format", "json"]) == 1
         assert json.loads(capsys.readouterr().out)["oracle"]["ok"] is False
+
+    def test_oracle_runs_on_a_family_of_eleven_fibers(self, tmp_path, capsys):
+        path = tmp_path / "family11.bd.json"
+        path.write_text(dumps(construct_family(11)))
+        assert main(["verify", str(path), "--oracle", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["oracle"]["ok"] is True
+        assert report["oracle"]["relation_failures"] == []
+
+    def test_oracle_on_a_tiny_curve_finds_no_faithful_assignment(self, family_file, capsys):
+        argv = ["verify", str(family_file), "--oracle", "--oracle-prime", "11", "--format", "json"]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["oracle"]["error"]
+        assert error == "no faithful assignment found in 400 attempts"
 
 
 class TestTable:
@@ -157,6 +171,16 @@ class TestTable:
     def test_mutated_file_reports_an_unequal_row(self, mutated_file, capsys):
         assert main(["table", str(mutated_file)]) == 1
         assert "UNEQUAL" in capsys.readouterr().out
+
+    def test_data_not_of_the_family_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "etale3.bd.json"
+        path.write_text(dumps(construct_etale(3)))
+        assert main(["verify", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["table", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: relations table needs data built by construct_family\n"
 
 
 class TestSweep:
@@ -226,21 +250,23 @@ def test_a_fullwidth_bit_key_is_a_parse_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "table"])
 @pytest.mark.parametrize(
-    "content",
+    "content,message",
     [
-        b'{"a": "\xff"}',  # not UTF-8
-        b'{"a": ' + b"9" * 5000 + b"}",  # past the interpreter's int-digit limit
-        b"[" * 100_000 + b"]" * 100_000,  # past the recursion limit
+        (b'{"a": "\xff"}', None),  # not UTF-8
+        # past the interpreter's int-digit limit; no advice on raising it
+        (b'{"a": ' + b"9" * 5000 + b"}", "error: an integer has more than 4300 digits\n"),
+        (b"[" * 100_000 + b"]" * 100_000, None),  # past the recursion limit
     ],
     ids=["non-utf8", "5000-digits", "deep-nesting"],
 )
-def test_an_unreadable_document_is_a_parse_error(tmp_path, capsys, command, content):
+def test_an_unreadable_document_is_a_parse_error(tmp_path, capsys, command, content, message):
     path = tmp_path / "unreadable.json"
     path.write_bytes(content)
     assert main([command, str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message is None or captured.err == message
 
 
 @pytest.mark.parametrize(

@@ -1,20 +1,24 @@
 """Elliptic-curve oracle: enumeration, group law, realization of the model."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from z2covers import curve_oracle
+from z2covers.characters import Character
 from z2covers.construction import construct_family, single_torsion_mutations
+from z2covers.cover import verify_relations
 from z2covers.curve_oracle import (
     Assignment,
     CurveOverFp,
     CurvePoint,
     INFINITY,
-    coefficient_bound,
     find_assignment,
     is_prime,
     realize,
 )
+from z2covers.picard import CurveClass, SurfaceClass
 
 
 def naive_point_count(p, a, b):
@@ -180,5 +184,50 @@ class TestRealization:
         with pytest.raises(ValueError):
             find_assignment(self.bd, small)
 
-    def test_coefficient_bound_reflects_the_data(self):
-        assert coefficient_bound(self.bd) == 2 * 3
+
+def model_failures(bd):
+    return tuple((f.chi, f.chi_prime) for f in verify_relations(bd).failures)
+
+
+class TestSoundness:
+    """The curve fails exactly the relations the model fails."""
+
+    @pytest.mark.parametrize("p", [1123, 2851])  # two of the benchmark's oracle primes
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_every_mutant_fails_on_the_curve_as_in_the_model(self, n, p):
+        curve = CurveOverFp(p, -1, 0)
+        for _, _, mutant in single_torsion_mutations(construct_family(n)):
+            report = realize(mutant, curve, find_assignment(mutant, curve))
+            assert report.relation_failures == model_failures(mutant)
+            assert report.relation_failures and not report.ok
+
+    def test_a_draw_that_masks_a_broken_relation_is_skipped(self, monkeypatch):
+        # L_100 shifted by g1 + g2 - h1 (free indices 0, 1 and 3 of the n = 3
+        # family); the first draw sends that shift, and so every broken
+        # relation's difference, to O while the registered points stay distinct.
+        bd = construct_family(3)
+        spec = bd.group_spec
+        shift = SurfaceClass(0, CurveClass(0, spec.element((1, 1, 0, -1, 0, 0, 0), (0, 0))))
+        chi = Character.from_string("100")
+        mutant = replace(bd, L={**bd.L, chi: bd.L[chi] + shift})
+        curve = CurveOverFp(2003, -1, 0)
+        script = [5, 7, 21, 12, 30, 40, 100]  # 5 + 7 - 12 = 0
+
+        class Scripted(random.Random):
+            def randrange(self, *args):
+                return script.pop(0) if script else super().randrange(*args)
+
+        generator = next(pt for pt in curve.points() if curve.point_order(pt) == 1002)
+        found = find_assignment(bd, curve)
+        masking = Assignment(
+            tuple(curve.scale(c, generator) for c in script), found.torsion_points
+        )
+        masked = realize(mutant, curve, masking)
+        assert masked.injective and masked.torsion_faithful and masked.ok
+        assert model_failures(mutant)
+
+        monkeypatch.setattr(curve_oracle.random, "Random", Scripted)
+        assignment = find_assignment(mutant, curve)
+        assert not script and assignment != masking
+        report = realize(mutant, curve, assignment)
+        assert report.relation_failures == model_failures(mutant) and not report.ok
