@@ -162,10 +162,6 @@ class GroupElement:
     def is_zero(self) -> bool:
         return not self.terms and not any(self.tors)
 
-    def l1_free(self) -> int:
-        """Sum of absolute values of the free coordinates."""
-        return sum(abs(v) for _, v in self.terms)
-
     def __repr__(self) -> str:
         return f"({list(self.free)}; {list(self.tors)})"
 

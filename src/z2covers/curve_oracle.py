@@ -5,8 +5,9 @@ finitely many points with bounded integer coefficients.  This module
 re-checks every one of them with honest chord-tangent arithmetic on an
 explicit curve y^2 = x^3 + ax + b over F_p, at desk scale: points are
 found by exhaustive enumeration (no point counting tricks), the group
-structure by brute-force order computation, which keeps the oracle
-independent of the algebra it audits.
+structure by brute-force order computation, once per pair {P, -P} since
+ord(-P) = ord(P), which keeps the oracle independent of the algebra it
+audits.
 
 Free generators of the abstract model cannot map to infinite-order points
 over a finite field, so a map to the curve may send a nonzero combination
@@ -32,14 +33,7 @@ ATTEMPTS = 400  # draws of free-generator images before find_assignment gives up
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factors(n) == (n,)
 
 
 @dataclass(frozen=True)
@@ -64,6 +58,8 @@ class CurveOverFp:
     """y^2 = x^3 + ax + b over the field with p elements, p an odd prime."""
 
     def __init__(self, p: int, a: int, b: int):
+        if p > MAX_EXHAUSTIVE_PRIME:  # refused before the trial division of is_prime
+            raise ValueError(f"p = {p} too large for exhaustive enumeration")
         if p < 3 or not is_prime(p):
             raise ValueError("p must be an odd prime")
         self.p = p
@@ -79,8 +75,11 @@ class CurveOverFp:
         return f"y^2 = x^3 + {self.a}x + {self.b} over F_{self.p}"
 
     def contains(self, point: CurvePoint) -> bool:
+        """On the curve, with coordinates reduced mod p as the group law needs."""
         if point.is_infinity:
             return True
+        if not (0 <= point.x < self.p and 0 <= point.y < self.p):
+            return False
         return (point.y**2 - (point.x**3 + self.a * point.x + self.b)) % self.p == 0
 
     def _inv(self, v: int) -> int:
@@ -127,8 +126,6 @@ class CurveOverFp:
         if self._points is not None:
             return self._points
         p = self.p
-        if p > MAX_EXHAUSTIVE_PRIME:
-            raise ValueError(f"p = {p} too large for exhaustive enumeration")
         roots_of: dict[int, list[int]] = {}
         for y in range(p):
             roots_of.setdefault(y * y % p, []).append(y)
@@ -146,8 +143,9 @@ class CurveOverFp:
     def point_order(self, point: CurvePoint) -> int:
         """Order of a point, reduced from the group order prime by prime.
 
-        Computed once per point: group_structure and find_assignment read
-        the same orders.
+        Computed once per pair {P, -P} and kept for both points, since
+        ord(-P) = ord(P): group_structure and find_assignment read the same
+        orders.
         """
         order = self._orders.get(point)
         if order is None:
@@ -155,13 +153,14 @@ class CurveOverFp:
             for q in _prime_factors(n):
                 while order % q == 0 and self.scale(order // q, point).is_infinity:
                     order //= q
-            self._orders[point] = order
+            self._orders[point] = self._orders[self.negate(point)] = order
         return order
 
     def group_structure(self) -> tuple[int, tuple[int, int]]:
         """(N, (d1, d2)) with the group isomorphic to Z/d1 x Z/d2, d1 | d2.
 
-        d2 is the exponent, found as the lcm of all point orders.
+        d2 is the exponent, found as the lcm of all point orders, one order
+        computed per pair {P, -P}.
         """
         if self._structure is not None:
             return self._structure

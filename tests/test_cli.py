@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from z2covers import cli
+from z2covers import cli, curve_oracle
 from z2covers.cli import main, verify_report
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.serialize import dumps, loads
@@ -154,6 +154,19 @@ class TestVerify:
         assert main(argv) == 2
         error = json.loads(capsys.readouterr().out)["oracle"]["error"]
         assert error == "no faithful assignment found in 400 attempts"
+
+    @pytest.mark.parametrize("prime", [10_007, 2**61 - 1])
+    def test_a_prime_beyond_enumeration_is_refused_before_any_trial_division(
+        self, family_file, prime, monkeypatch, capsys
+    ):
+        def refuse(n):
+            raise AssertionError("trial division ran")
+
+        monkeypatch.setattr(curve_oracle, "is_prime", refuse)
+        argv = ["verify", str(family_file), "--oracle", "--format", "json"]
+        assert main([*argv, "--oracle-prime", str(prime)]) == 2
+        error = json.loads(capsys.readouterr().out)["oracle"]["error"]
+        assert error == f"p = {prime} too large for exhaustive enumeration"
 
 
 class TestTable:

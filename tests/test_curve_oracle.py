@@ -1,5 +1,6 @@
 """Elliptic-curve oracle: enumeration, group law, realization of the model."""
 
+import functools
 import random
 from dataclasses import replace
 
@@ -123,9 +124,8 @@ class TestGroupStructure:
             assert curve.point_order(point) == order
 
     def test_enumeration_bound(self):
-        big = CurveOverFp(10_007, -1, 0)
-        with pytest.raises(ValueError):
-            big.points()
+        with pytest.raises(ValueError, match="too large for exhaustive enumeration"):
+            CurveOverFp(10_007, -1, 0)
 
 
 class TestRealization:
@@ -179,6 +179,19 @@ class TestRealization:
         with pytest.raises(ValueError):
             realize(self.bd, self.curve, bad)
 
+    @pytest.mark.parametrize("dx,dy", [(1123, 0), (0, 1123), (-1123, 0)])
+    def test_unreduced_coordinates_are_off_the_curve(self, dx, dy):
+        curve = CurveOverFp(1123, -1, 0)
+        found = find_assignment(self.bd, curve)
+        point = found.free_points[0]
+        unreduced = CurvePoint(point.x + dx, point.y + dy)
+        # The group law compares raw coordinates, so the sum comes out wrong.
+        assert curve.add(unreduced, point) != curve.double(point)
+        assert not curve.contains(unreduced)
+        bad = replace(found, free_points=(unreduced, *found.free_points[1:]))
+        with pytest.raises(ValueError, match="is not on"):
+            realize(self.bd, curve, bad)
+
     def test_small_cyclic_factor_is_refused(self):
         small = CurveOverFp(11, -1, 0)
         with pytest.raises(ValueError):
@@ -189,14 +202,27 @@ def model_failures(bd):
     return tuple((f.chi, f.chi_prime) for f in verify_relations(bd).failures)
 
 
+# Independent witnesses y^2 = x^3 - d^2 x, at five of the benchmark's oracle
+# primes, keyed by p.
+WITNESS_D = {1123: 1, 2851: 1, 1567: 2, 2083: 3, 2647: 5}
+
+
+@functools.cache
+def witness(p):
+    d = WITNESS_D[p]
+    return CurveOverFp(p, -d * d, 0)
+
+
 class TestSoundness:
     """The curve fails exactly the relations the model fails."""
 
-    @pytest.mark.parametrize("p", [1123, 2851])  # two of the benchmark's oracle primes
+    @pytest.mark.parametrize("p", WITNESS_D)
     @pytest.mark.parametrize("n", [3, 12])
     def test_every_mutant_fails_on_the_curve_as_in_the_model(self, n, p):
-        curve = CurveOverFp(p, -1, 0)
-        for _, _, mutant in single_torsion_mutations(construct_family(n)):
+        curve = witness(p)
+        bd = construct_family(n)
+        assert realize(bd, curve, find_assignment(bd, curve)).ok
+        for _, _, mutant in single_torsion_mutations(bd):
             report = realize(mutant, curve, find_assignment(mutant, curve))
             assert report.relation_failures == model_failures(mutant)
             assert report.relation_failures and not report.ok

@@ -3,12 +3,15 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import event, given, settings
 
+from test_cover import nodal_double_cover
+from test_relations import building_data
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, CoverElement, nontrivial_characters
 from z2covers.construction import construct_etale, construct_family
 from z2covers import invariants
-from z2covers.cover import BuildingData, EllipticFiber, verify_relations
+from z2covers.cover import BuildingData, EllipticFiber, verify_relations, verify_smoothness
 from z2covers.invariants import (
     canonical_map_degree,
     canonical_system,
@@ -207,3 +210,61 @@ class TestMinimality:
         evidence = minimality_evidence(construct_etale(3))
         assert evidence.self_intersection == 0
         assert not evidence.nef_and_big
+
+
+class TestNoether:
+    """12 chi(O_X) = K_X^2 + e(X), with e(X) counted from the branch locus.
+
+    Neither K^2 nor chi(O) enters the count, so the identity checks both
+    invariant formulas against the topology of the cover.
+    """
+
+    @staticmethod
+    def euler_number(bd):
+        """e(X), summing e(stratum) times its number of preimages over the strata of Y.
+
+        A point of Y with stabiliser of order s has 2^k / s preimages: s = 1
+        off the branch locus, s = 2 on one branch fiber, and where an E fiber
+        over sigma meets an F fiber over tau (every E meets every F once),
+        s = 4 if sigma != tau and s = 2 if they are equal.  e(Y) = 0,
+        e(E) = 0 and e(F) = 2.
+        """
+        placed = [(s, c.kind) for s in bd.elements for c in bd.branch(s)]
+        over_e = [s for s, kind in placed if kind == "E"]
+        over_f = [s for s, kind in placed if kind == "F"]
+        e, f = len(over_e), len(over_f)
+        e_outside = 0 - (0 * e + 2 * f - e * f)  # e(Y) - e(B), each node counted once in B
+        e_fibers = e * (0 - f) + f * (2 - e)  # each fiber less the nodes on it
+        at_nodes = sum((1 << bd.n) // (2 if s == t else 4) for s in over_e for t in over_f)
+        return (1 << bd.n) * e_outside + (1 << bd.n - 1) * e_fibers + at_nodes
+
+    def assert_noether(self, bd):
+        inv = compute_invariants(bd)
+        assert 12 * inv.chi == inv.k_squared + self.euler_number(bd)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_family(self, n):
+        bd = construct_family(n)
+        assert self.euler_number(bd) == 8 * n
+        self.assert_noether(bd)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_etale(self, k):
+        bd = construct_etale(k)
+        assert self.euler_number(bd) == 0
+        self.assert_noether(bd)
+
+    @settings(max_examples=300, deadline=None)
+    @given(building_data())
+    def test_every_accepted_random_datum(self, case):
+        bd, _ = case
+        smoothness = verify_smoothness(bd)
+        accepted = verify_relations(bd).ok and smoothness.snc and smoothness.independent_crossings
+        event(f"accepted: {accepted}")
+        if accepted:
+            self.assert_noether(bd)
+
+    def test_the_nodal_double_cover_breaks_the_identity(self):
+        bd = nodal_double_cover()
+        inv = compute_invariants(bd)
+        assert (12 * inv.chi, inv.k_squared, self.euler_number(bd)) == (0, -4, 0)
