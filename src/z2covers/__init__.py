@@ -58,7 +58,6 @@ from .invariants import (
     minimality_evidence,
 )
 from .picard import (
-    CurveClass,
     MapReport,
     PointOnC,
     PointOnP1,
@@ -82,7 +81,6 @@ __all__ = [
     "ConsistencyError",
     "CoverElement",
     "CoverInvariants",
-    "CurveClass",
     "CurveOverFp",
     "CurvePoint",
     "EllipticFiber",

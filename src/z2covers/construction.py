@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters
 from .cover import BuildingData, EllipticFiber, RationalFiber, relations
-from .picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
+from .picard import PointOnC, PointOnP1, SurfaceClass, elliptic_fiber_class
 
 _HALVED_FIBER = re.compile(r"^F(\d+)_\1$")
 
@@ -97,20 +97,16 @@ def construct_family(n: int, halving_choice: Sequence[int] | None = None) -> Bui
 
     points_p1 = tuple(PointOnP1(f"E{j + 1}") for j in range(6))
 
-    e = SurfaceClass(1, CurveClass.zero(spec))
-    sum_halved = SurfaceClass(0, CurveClass(n, spec.sum(halved_aj)))
-
-    def torsion_class(t: GroupElement) -> SurfaceClass:
-        return SurfaceClass(0, CurveClass(0, t))
-
+    e = elliptic_fiber_class(spec)
+    sum_halved = SurfaceClass(0, n, spec.sum(halved_aj))
     L = {
         Character.from_string("100"): 3 * e + sum_halved,
-        Character.from_string("010"): e + sum_halved + torsion_class(t1),
-        Character.from_string("001"): e + sum_halved + torsion_class(t2),
-        Character.from_string("110"): 2 * e + torsion_class(t1),
-        Character.from_string("101"): 2 * e + torsion_class(t2),
-        Character.from_string("011"): 2 * e + torsion_class(t1 + t2),
-        Character.from_string("111"): e + sum_halved + torsion_class(t1 + t2),
+        Character.from_string("010"): e + sum_halved + SurfaceClass(0, 0, t1),
+        Character.from_string("001"): e + sum_halved + SurfaceClass(0, 0, t2),
+        Character.from_string("110"): 2 * e + SurfaceClass(0, 0, t1),
+        Character.from_string("101"): 2 * e + SurfaceClass(0, 0, t2),
+        Character.from_string("011"): 2 * e + SurfaceClass(0, 0, t1 + t2),
+        Character.from_string("111"): e + sum_halved + SurfaceClass(0, 0, t1 + t2),
     }
 
     interleaved = []
@@ -139,7 +135,7 @@ def construct_etale(n: int = 3) -> BuildingData:
     """
     spec = GroupSpec(0, (2,) * n)
     L = {
-        chi: SurfaceClass(0, CurveClass(0, spec.element((), chi.bits)))
+        chi: SurfaceClass(0, 0, spec.element((), chi.bits))
         for chi in nontrivial_characters(n)
     }
     return BuildingData(n, spec, {}, (), L, {})
@@ -157,7 +153,7 @@ def single_torsion_mutations(
     for chi in bd.characters:
         for t in shifts:
             shifted = dict(bd.L)
-            shifted[chi] = bd.L[chi] + SurfaceClass(0, CurveClass(0, t))
+            shifted[chi] = bd.L[chi] + SurfaceClass(0, 0, t)
             yield chi, t, replace(bd, L=shifted)
 
 
@@ -186,10 +182,10 @@ def _family_shape(bd: BuildingData) -> tuple[int, GroupElement]:
 def _symbolize(cls: SurfaceClass, fiber_count: int, halved_sum: GroupElement) -> str:
     """Render a class of the family as  aE + k(sum F_ii) + eta."""
     spec = cls.spec
-    if cls.c.degree % fiber_count:
-        raise ValueError(f"cannot render degree {cls.c.degree} over {fiber_count} fibers")
-    k = cls.c.degree // fiber_count
-    residual = cls.c.pic0 - k * halved_sum
+    if cls.degree % fiber_count:
+        raise ValueError(f"cannot render degree {cls.degree} over {fiber_count} fibers")
+    k = cls.degree // fiber_count
+    residual = cls.pic0 - k * halved_sum
     if residual.terms:
         raise ValueError("class is not a combination of family generators")
     eta_names = {

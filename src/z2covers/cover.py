@@ -38,7 +38,6 @@ from typing import Any, Mapping, Sequence, Union
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters, nontrivial_elements
 from .picard import (
-    CurveClass,
     PointOnC,
     PointOnP1,
     SurfaceClass,
@@ -93,7 +92,7 @@ def branch_class(components: Sequence[BranchComponent], spec: GroupSpec) -> Surf
     sum counts the first kind and adds the points of the second in one pass.
     """
     points = [comp.point.aj for comp in components if isinstance(comp, RationalFiber)]
-    return SurfaceClass(len(components) - len(points), CurveClass(len(points), spec.sum(points)))
+    return SurfaceClass(len(components) - len(points), len(points), spec.sum(points))
 
 
 @dataclass(frozen=True)
@@ -195,11 +194,12 @@ class BuildingData:
         table = relations(self.n)
 
         def term(cls: SurfaceClass) -> tuple[tuple[int, int, GroupElement, GroupElement]]:
-            return ((cls.a, cls.c.degree, cls.c.pic0, -cls.c.pic0),)
+            return ((cls.a, cls.degree, cls.pic0, -cls.pic0),)
 
         def side_class(side: tuple) -> SurfaceClass:
-            pic0 = spec.sum(t[2] for t in side)
-            return SurfaceClass(sum(t[0] for t in side), CurveClass(sum(t[1] for t in side), pic0))
+            return SurfaceClass(
+                sum(t[0] for t in side), sum(t[1] for t in side), spec.sum(t[2] for t in side)
+            )
 
         L = {chi: term(cls) for chi, cls in self.L.items()}
         branch = {sigma: term(self.branch_class_of(sigma)) for sigma in self.elements}

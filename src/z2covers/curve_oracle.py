@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
-from .abgroup import GroupElement
+from .abgroup import GroupElement, GroupSpec
 from .characters import Character
 from .cover import BranchComponent, BuildingData, RationalFiber, relations, verify_relations
 
@@ -68,6 +68,7 @@ class CurveOverFp:
         if (4 * self.a**3 + 27 * self.b**2) % p == 0:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0 mod p")
         self._points: tuple[CurvePoint, ...] | None = None
+        self._two_torsion: tuple[CurvePoint, ...] | None = None
         self._structure: tuple[int, tuple[int, int]] | None = None
         self._orders: dict[CurvePoint, int] = {}
 
@@ -178,10 +179,10 @@ class CurveOverFp:
         return self._structure
 
     def two_torsion_points(self) -> tuple[CurvePoint, ...]:
-        """Solutions of 2P = O: infinity plus the points with y = 0."""
-        return tuple(
-            pt for pt in self.points() if pt.is_infinity or pt.y == 0
-        )
+        """Solutions of 2P = O: infinity plus the points with y = 0, found once."""
+        if self._two_torsion is None:
+            self._two_torsion = tuple(pt for pt in self.points() if pt.is_infinity or pt.y == 0)
+        return self._two_torsion
 
     def has_full_two_torsion(self) -> bool:
         return len(self.two_torsion_points()) == 4
@@ -232,9 +233,17 @@ def _image(curve: CurveOverFp, assignment: Assignment, element: GroupElement) ->
     return total
 
 
+def _two_torsion_fits(curve: CurveOverFp, spec: GroupSpec) -> bool:
+    """Whether the model's 2-torsion, one Z/2 per even torsion order, is no
+    larger than the curve's; counted, never enumerated."""
+    even = sum(1 for m in spec.torsion_orders if m % 2 == 0)
+    return 1 << even <= len(curve.two_torsion_points())
+
+
 def _torsion_faithful(curve: CurveOverFp, bd: BuildingData, assignment: Assignment) -> bool:
-    """Only the zero element of the model's 2-torsion maps to O."""
-    return all(
+    """Only the zero element of the model's 2-torsion maps to O.  A model with
+    more 2-torsion than the curve fails by the count alone."""
+    return _two_torsion_fits(curve, bd.group_spec) and all(
         _image(curve, assignment, t).is_infinity == t.is_zero()
         for t in bd.group_spec.two_torsion()
     )
@@ -291,7 +300,7 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
 
     zero = (0, 0, INFINITY)
     L = {
-        chi: (cls.a, cls.c.degree, _image(curve, assignment, cls.c.pic0))
+        chi: (cls.a, cls.degree, _image(curve, assignment, cls.pic0))
         for chi, cls in bd.L.items()
     }
     D = {sigma: reduce(add, map(component, bd.branch(sigma)), zero) for sigma in bd.elements}
@@ -313,35 +322,44 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     """Search for generator images that make the realization faithful.
 
     Torsion generators are mapped to points of exactly matching order with
-    the model's 2-torsion embedded faithfully.  Free generators are mapped
-    to multiples of a point of maximal order, the multipliers drawn from
-    ``random.Random(0)``.  The first of :data:`ATTEMPTS` draws that is
-    certified is accepted: the registered points have distinct images, and
-    the degree-zero difference of each relation the model finds broken
-    (with equal E-coefficients and degrees) maps to a point other than O,
-    so the curve cannot mend it.
+    the model's 2-torsion embedded faithfully.  Only the images of even-order
+    generators are searched: an odd-order generator takes the first point of
+    its order, since odd factors never meet the 2-torsion, and a model with
+    more 2-torsion than the curve is refused before any search.  Free
+    generators are mapped to multiples of a point of maximal order, the
+    multipliers drawn from ``random.Random(0)``.  The first of
+    :data:`ATTEMPTS` draws that is certified is accepted: the registered
+    points have distinct images, and the degree-zero difference of each
+    relation the model finds broken (with equal E-coefficients and degrees)
+    maps to a point other than O, so the curve cannot mend it.
     """
     spec = bd.group_spec
     _, (_, d2) = curve.group_structure()
 
     by_order: dict[int, list[CurvePoint]] = {}
     for m in set(spec.torsion_orders):
-        by_order[m] = [pt for pt in curve.points() if curve.point_order(pt) == m]
-        if not by_order[m]:
+        found = [pt for pt in curve.points() if curve.point_order(pt) == m]
+        if not found:
             raise ValueError(f"curve has no point of order {m}")
+        by_order[m] = found if m % 2 == 0 else found[:1]
 
+    refusal = "curve torsion cannot embed the model's torsion subgroup"
+    if not _two_torsion_fits(curve, spec):
+        raise ValueError(refusal)
     candidates = itertools.product(*(by_order[m] for m in spec.torsion_orders))
     no_free = (INFINITY,) * spec.rank
     faithful = (c for c in candidates if _torsion_faithful(curve, bd, Assignment(no_free, c)))
     torsion_points = next(faithful, None)
     if torsion_points is None:
-        raise ValueError("curve torsion cannot embed the model's torsion subgroup")
+        raise ValueError(refusal)
 
     broken = [
-        f.lhs.c.pic0 - f.rhs.c.pic0
+        f.lhs.pic0 - f.rhs.pic0
         for f in verify_relations(bd).failures
-        if (f.lhs.a, f.lhs.c.degree) == (f.rhs.a, f.rhs.c.degree)
+        if (f.lhs.a, f.lhs.degree) == (f.rhs.a, f.rhs.degree)
     ]
+    if d2 == 1 and spec.rank:
+        raise ValueError("curve has only the point O, so free generators have no image")
     generator = next(pt for pt in curve.points() if curve.point_order(pt) == d2)
     rng = random.Random(0)
     for _ in range(ATTEMPTS):

@@ -3,11 +3,13 @@
 The Picard group of the product splits as Z.E + Pic(C), where E is a
 fiber of the projection to the rational factor (a copy of the elliptic
 curve C) and the complementary ruling consists of rational fibers, one
-over each point of C.  A surface class is stored as a.E plus the pullback
-of a curve class; two classes are linearly equivalent exactly when the
-coefficient a, the degree on C and the degree-zero part on C all agree.
-The degree-zero part is an element of the abstract group model from
-:mod:`z2covers.abgroup`.
+over each point of C.  A surface class, a.E plus the pullback of a curve
+class, is held as the three values (a, degree, pic0): the coefficient a,
+the degree on C and the degree-zero part on C, the same three fields the
+file format and the reports write.  Two classes are linearly equivalent
+exactly when all three agree, and arithmetic is componentwise.  The
+degree-zero part is an element of the abstract group model from
+:mod:`z2covers.abgroup`; combining elements of two different models raises.
 
 Intersection numbers only see the two degrees, because E^2 = F^2 = 0 and
 E.F = 1 for fibers E, F of the two rulings.  Section counts multiply
@@ -33,46 +35,6 @@ from .abgroup import GroupElement, GroupSpec
 
 
 @dataclass(frozen=True)
-class CurveClass:
-    """A divisor class on the elliptic curve: degree plus degree-zero part."""
-
-    degree: int
-    pic0: GroupElement
-
-    @classmethod
-    def zero(cls, spec: GroupSpec) -> "CurveClass":
-        return cls(0, spec.zero())
-
-    @property
-    def spec(self) -> GroupSpec:
-        return self.pic0.spec
-
-    def _check_same_spec(self, other: "CurveClass") -> None:
-        if self.spec != other.spec:
-            raise ValueError("curve classes over different group models")
-
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        self._check_same_spec(other)
-        return CurveClass(self.degree + other.degree, self.pic0 + other.pic0)
-
-    def __neg__(self) -> "CurveClass":
-        return CurveClass(-self.degree, -self.pic0)
-
-    def __sub__(self, other: "CurveClass") -> "CurveClass":
-        return self + (-other)
-
-    def __mul__(self, k: int) -> "CurveClass":
-        if not isinstance(k, int):
-            return NotImplemented
-        return CurveClass(k * self.degree, k * self.pic0)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.pic0.is_zero()
-
-
-@dataclass(frozen=True)
 class PointOnC:
     """A point of the elliptic curve, identified by label and its class.
 
@@ -95,29 +57,26 @@ class PointOnP1:
 
 @dataclass(frozen=True)
 class SurfaceClass:
-    """Class a.E + (pullback of c) on the product surface."""
+    """Class a.E + (pullback of a curve class of ``degree`` and degree-zero
+    part ``pic0``) on the product surface."""
 
     a: int
-    c: CurveClass
+    degree: int
+    pic0: GroupElement
 
     @classmethod
     def zero(cls, spec: GroupSpec) -> "SurfaceClass":
-        return cls(0, CurveClass.zero(spec))
+        return cls(0, 0, spec.zero())
 
     @property
     def spec(self) -> GroupSpec:
-        return self.c.spec
-
-    def _check_same_spec(self, other: "SurfaceClass") -> None:
-        if self.spec != other.spec:
-            raise ValueError("surface classes over different group models")
+        return self.pic0.spec
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
-        self._check_same_spec(other)
-        return SurfaceClass(self.a + other.a, self.c + other.c)
+        return SurfaceClass(self.a + other.a, self.degree + other.degree, self.pic0 + other.pic0)
 
     def __neg__(self) -> "SurfaceClass":
-        return SurfaceClass(-self.a, -self.c)
+        return SurfaceClass(-self.a, -self.degree, -self.pic0)
 
     def __sub__(self, other: "SurfaceClass") -> "SurfaceClass":
         return self + (-other)
@@ -125,51 +84,42 @@ class SurfaceClass:
     def __mul__(self, k: int) -> "SurfaceClass":
         if not isinstance(k, int):
             return NotImplemented
-        return SurfaceClass(k * self.a, k * self.c)
+        return SurfaceClass(k * self.a, k * self.degree, k * self.pic0)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.c.is_zero()
+        return self.a == 0 and self.degree == 0 and self.pic0.is_zero()
 
 
 def elliptic_fiber_class(spec: GroupSpec) -> SurfaceClass:
     """Class of a fiber of the projection to the rational curve."""
-    return SurfaceClass(1, CurveClass.zero(spec))
+    return SurfaceClass(1, 0, spec.zero())
 
 
 def rational_fiber_class(spec: GroupSpec, aj: GroupElement | None = None) -> SurfaceClass:
     """Class of the rational fiber over a point with degree-zero class aj."""
     if aj is None:
         aj = spec.zero()
-    return SurfaceClass(0, CurveClass(1, aj))
+    return SurfaceClass(0, 1, aj)
 
 
 def canonical_class(spec: GroupSpec) -> SurfaceClass:
     """The canonical class of the product surface, -2E."""
-    return SurfaceClass(-2, CurveClass.zero(spec))
+    return SurfaceClass(-2, 0, spec.zero())
 
 
 def intersect(u: SurfaceClass, v: SurfaceClass) -> int:
     """Intersection number; only the two degrees enter."""
-    return u.a * v.c.degree + v.a * u.c.degree
-
-
-def h0_p1(a: int) -> int:
-    return a + 1 if a >= 0 else 0
-
-
-def h0_curve(c: CurveClass) -> int:
-    if c.degree >= 1:
-        return c.degree
-    if c.degree == 0 and c.pic0.is_zero():
-        return 1
-    return 0
+    return u.a * v.degree + v.a * u.degree
 
 
 def h0(u: SurfaceClass) -> int:
     """Dimension of the space of sections; the product of the factor counts."""
-    return h0_p1(u.a) * h0_curve(u.c)
+    p1 = u.a + 1 if u.a >= 0 else 0
+    if u.degree >= 1:
+        return p1 * u.degree
+    return p1 if u.degree == 0 and u.pic0.is_zero() else 0
 
 
 def is_base_point_free(u: SurfaceClass) -> bool:
@@ -183,8 +133,7 @@ def is_base_point_free(u: SurfaceClass) -> bool:
     """
     if h0(u) == 0:
         raise ValueError("empty linear system has no base locus")
-    c = u.c
-    curve_free = c.degree >= 2 or (c.degree == 0 and c.pic0.is_zero())
+    curve_free = u.degree >= 2 or (u.degree == 0 and u.pic0.is_zero())
     return u.a >= 0 and curve_free
 
 
@@ -213,9 +162,9 @@ def map_analysis(u: SurfaceClass) -> MapReport:
     if h0(u) == 0:
         raise ValueError("empty linear system defines no map")
     p1_degree = 1 if u.a >= 1 else None
-    if u.c.degree >= 3:
+    if u.degree >= 3:
         curve_degree = 1
-    elif u.c.degree == 2:
+    elif u.degree == 2:
         curve_degree = 2
     else:
         curve_degree = None

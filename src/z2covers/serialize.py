@@ -44,7 +44,7 @@ from typing import Any, Callable
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement
 from .cover import BranchComponent, BuildingData, EllipticFiber, RationalFiber
-from .picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
+from .picard import PointOnC, PointOnP1, SurfaceClass
 
 # The C function json.dumps calls to quote a str (ensure_ascii is its default).
 _quote = json.encoder.encode_basestring_ascii
@@ -101,27 +101,21 @@ def element_from_dict(doc: Any, spec: GroupSpec) -> GroupElement:
         raise FormatError(f"bad group element: {exc}") from exc
 
 
-def _surface_class(cls: SurfaceClass, element: Callable[[GroupElement], Any]) -> dict[str, Any]:
-    return {"a": cls.a, "degree": cls.c.degree, "pic0": element(cls.c.pic0)}
-
-
-def surface_class_to_dict(cls: SurfaceClass) -> dict[str, Any]:
-    return _surface_class(cls, element_to_dict)
-
-
 def surface_class_from_dict(doc: Any, spec: GroupSpec) -> SurfaceClass:
     doc = _object(doc, "surface class", _CLASS_KEYS)
     return SurfaceClass(
         _integer(doc["a"], "a"),
-        CurveClass(_integer(doc["degree"], "degree"), element_from_dict(doc["pic0"], spec)),
+        _integer(doc["degree"], "degree"),
+        element_from_dict(doc["pic0"], spec),
     )
 
 
 def plain(verdict: Any) -> Any:
-    """``verdict`` as JSON values: a surface class as in the file, a Z₂ⁿ vector as its bit
-    string, a dataclass by field name, a mapping with string keys, a tuple as a list."""
-    if type(verdict) is SurfaceClass:
-        return surface_class_to_dict(verdict)
+    """``verdict`` as JSON values: a group element as in the file, a Z₂ⁿ vector as its bit
+    string, a dataclass by field name (so a surface class as in the file), a mapping with
+    string keys, a tuple as a list."""
+    if type(verdict) is GroupElement:
+        return element_to_dict(verdict)
     if isinstance(verdict, (Character, CoverElement)):
         return str(verdict)
     if is_dataclass(verdict):
@@ -147,7 +141,10 @@ def _document(bd: BuildingData, element: Callable[[GroupElement], Any]) -> dict[
         },
         "points_c": {label: element(point.aj) for label, point in bd.points_c.items()},
         "points_p1": [point.label for point in bd.points_p1],
-        "L": {str(chi): _surface_class(cls, element) for chi, cls in bd.L.items()},
+        "L": {
+            str(chi): {"a": cls.a, "degree": cls.degree, "pic0": element(cls.pic0)}
+            for chi, cls in bd.L.items()
+        },
         "D": {
             str(sigma): [component_ref(c) for c in comps]
             for sigma, comps in bd.D.items()

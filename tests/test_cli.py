@@ -1,14 +1,21 @@
 """Command line contract: exit codes, reports, round trips."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
 from z2covers import cli, curve_oracle
+from z2covers.abgroup import GroupSpec
+from z2covers.characters import nontrivial_characters
 from z2covers.cli import main, verify_report
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
+from z2covers.cover import BuildingData
+from z2covers.picard import SurfaceClass
 from z2covers.serialize import dumps, loads
 
 
@@ -155,6 +162,18 @@ class TestVerify:
         error = json.loads(capsys.readouterr().out)["oracle"]["error"]
         assert error == "no faithful assignment found in 400 attempts"
 
+    def test_oracle_on_a_one_point_curve_says_why_it_cannot_run(self, tmp_path, capsys):
+        # y^2 = x^3 + 2x + 2 has no affine point over F_3: its group is {O}.
+        spec = GroupSpec(1)
+        only = nontrivial_characters(1)[0]
+        bd = BuildingData(1, spec, {}, (), {only: SurfaceClass(0, 0, spec.free_generator(0))}, {})
+        path = tmp_path / "rank1.bd.json"
+        path.write_text(dumps(bd))
+        flags = ["--oracle", "--oracle-prime", "3", "--oracle-a", "2", "--oracle-b", "2"]
+        assert main(["verify", str(path), *flags]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "oracle: error: curve has only the point O, so free generators have no image"
+
     @pytest.mark.parametrize("prime", [10_007, 2**61 - 1])
     def test_a_prime_beyond_enumeration_is_refused_before_any_trial_division(
         self, family_file, prime, monkeypatch, capsys
@@ -225,6 +244,21 @@ class TestSweep:
 
     def test_garbled_range_is_a_usage_error(self):
         assert main(["sweep", "3-6"]) == 2
+
+
+def test_importing_the_package_loads_only_the_standard_library():
+    probe = (
+        "import sys; before = set(sys.modules); import z2covers; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = {name.partition(".")[0] for name in result.stdout.split()}
+    assert "z2covers" in loaded
+    assert loaded - {"z2covers"} <= sys.stdlib_module_names
 
 
 def test_unknown_subcommand_is_a_usage_error():

@@ -147,7 +147,7 @@ class TestRelationsTable:
         rows = relations_table(construct_family(5))
         assert [row.rhs_symbol for row in rows] == EXPECTED_RIGHT_HAND_SIDES
         assert all(row.equal for row in rows)
-        assert rows[0].rhs_class.c.degree == 10
+        assert rows[0].rhs_class.degree == 10
 
     def test_fourth_and_sixth_rows_agree_as_classes(self):
         rows = relations_table(construct_family(3))

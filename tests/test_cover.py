@@ -20,7 +20,7 @@ from z2covers.cover import (
     verify_relations,
     verify_smoothness,
 )
-from z2covers.picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
+from z2covers.picard import PointOnC, PointOnP1, SurfaceClass
 from z2covers.serialize import dumps
 
 
@@ -34,7 +34,7 @@ def sigma(s):
 
 def torsion_shift(bd, character, t):
     shifted = dict(bd.L)
-    shifted[character] = bd.L[character] + SurfaceClass(0, CurveClass(0, t))
+    shifted[character] = bd.L[character] + SurfaceClass(0, 0, t)
     return replace(bd, L=shifted)
 
 
@@ -42,7 +42,7 @@ class TestBranchClass:
     def test_two_elliptic_fibers(self):
         spec = GroupSpec(1, (2, 2))
         comps = [EllipticFiber(PointOnP1("E1")), EllipticFiber(PointOnP1("E2"))]
-        assert branch_class(comps, spec) == SurfaceClass(2, CurveClass.zero(spec))
+        assert branch_class(comps, spec) == SurfaceClass(2, 0, spec.zero())
 
     def test_empty_sum_is_zero(self):
         spec = GroupSpec(1, (2, 2))
@@ -56,7 +56,7 @@ class TestBranchClass:
             RationalFiber(PointOnC("F1", h1)),
             RationalFiber(PointOnC("F1'", 2 * g1 - h1)),
         ]
-        assert branch_class(comps, spec) == SurfaceClass(0, CurveClass(2, 2 * g1))
+        assert branch_class(comps, spec) == SurfaceClass(0, 2, 2 * g1)
 
 
 class TestVerifyRelations:
@@ -72,7 +72,7 @@ class TestVerifyRelations:
         spec = bd.group_spec
         # replace the torsion of L_110 with the other generator
         mutated = dict(bd.L)
-        mutated[chi("110")] = SurfaceClass(2, CurveClass(0, spec.torsion_generator(1)))
+        mutated[chi("110")] = SurfaceClass(2, 0, spec.torsion_generator(1))
         report = verify_relations(replace(bd, L=mutated))
         assert not report.ok
         failing = {(str(f.chi), str(f.chi_prime)) for f in report.failures}
@@ -80,7 +80,7 @@ class TestVerifyRelations:
 
     def test_unbalanced_diagonals_fail(self):
         spec = GroupSpec(0, (2, 2))
-        same = SurfaceClass(1, CurveClass(1, spec.zero()))
+        same = SurfaceClass(1, 1, spec.zero())
         bd = BuildingData(3, spec, {}, (), {c: same for c in nontrivial_characters(3)}, {})
         report = verify_relations(bd)
         assert not report.ok
@@ -89,7 +89,7 @@ class TestVerifyRelations:
     def test_trivial_class_is_a_distinct_failure_kind(self):
         spec = GroupSpec(0, (2, 2, 2))
         L = {
-            c: SurfaceClass(0, CurveClass(0, spec.element((), c.bits)))
+            c: SurfaceClass(0, 0, spec.element((), c.bits))
             for c in nontrivial_characters(3)
         }
         L[chi("111")] = SurfaceClass.zero(spec)
@@ -117,7 +117,7 @@ def nodal_double_cover():
     g = spec.free_generator(0)
     points_c = {"P": PointOnC("P", 2 * g), "Q": PointOnC("Q", spec.zero())}
     points_p1 = (PointOnP1("E1"), PointOnP1("E2"))
-    L = {chi("1"): SurfaceClass(1, CurveClass(1, g))}
+    L = {chi("1"): SurfaceClass(1, 1, g)}
     fibers = [*map(EllipticFiber, points_p1), *map(RationalFiber, points_c.values())]
     D = {sigma("1"): tuple(fibers)}
     return BuildingData(1, spec, points_c, points_p1, L, D)
@@ -167,7 +167,7 @@ class TestVerifySmoothness:
         spec = GroupSpec(1, (2, 2))
         p = spec.free_generator(0)
         points = {"P": PointOnC("P", p), "Q": PointOnC("Q", p)}
-        L = {c: SurfaceClass(1, CurveClass.zero(spec)) for c in nontrivial_characters(3)}
+        L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
         report = verify_smoothness(BuildingData(3, spec, points, (), L, {}))
         assert not report.injective_points
         assert not report.snc
@@ -221,9 +221,9 @@ class TestDeriveFromGenerators:
         for alpha, beta, gamma in itertools.product(spec.elements(), repeat=3):
             try:
                 bd = derive_from_generators(
-                    SurfaceClass(4, CurveClass(0, alpha)),
-                    SurfaceClass(2, CurveClass(0, beta)),
-                    SurfaceClass(2, CurveClass(0, gamma)),
+                    SurfaceClass(4, 0, alpha),
+                    SurfaceClass(2, 0, beta),
+                    SurfaceClass(2, 0, gamma),
                     branch,
                     group_spec=spec,
                     points_p1=p1,
@@ -294,13 +294,13 @@ class TestStructuralProperties:
 class TestBuildingDataShape:
     def test_missing_character_rejected(self):
         spec = GroupSpec(0, (2, 2))
-        L = {c: SurfaceClass(1, CurveClass.zero(spec)) for c in nontrivial_characters(3)[:-1]}
+        L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)[:-1]}
         with pytest.raises(ValueError):
             BuildingData(3, spec, {}, (), L, {})
 
     def test_component_over_unregistered_point_rejected(self):
         spec = GroupSpec(1, (2, 2))
-        L = {c: SurfaceClass(1, CurveClass.zero(spec)) for c in nontrivial_characters(3)}
+        L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
         stray = RationalFiber(PointOnC("ghost", spec.zero()))
         with pytest.raises(ValueError):
             BuildingData(3, spec, {}, (), L, {sigma("100"): (stray,)})
@@ -313,7 +313,7 @@ class TestBuildingDataShape:
     def test_class_over_wrong_model_rejected(self):
         spec = GroupSpec(0, (2, 2))
         other = GroupSpec(1, (2, 2))
-        L = {c: SurfaceClass(1, CurveClass.zero(spec)) for c in nontrivial_characters(3)}
-        L[chi("111")] = SurfaceClass(1, CurveClass.zero(other))
+        L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
+        L[chi("111")] = SurfaceClass(1, 0, other.zero())
         with pytest.raises(ValueError):
             BuildingData(3, spec, {}, (), L, {})

@@ -1,15 +1,17 @@
 """Elliptic-curve oracle: enumeration, group law, realization of the model."""
 
 import functools
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
 from z2covers import curve_oracle
-from z2covers.characters import Character
+from z2covers.abgroup import GroupSpec
+from z2covers.characters import Character, nontrivial_characters
 from z2covers.construction import construct_family, single_torsion_mutations
-from z2covers.cover import verify_relations
+from z2covers.cover import BuildingData, verify_relations
 from z2covers.curve_oracle import (
     Assignment,
     CurveOverFp,
@@ -19,7 +21,7 @@ from z2covers.curve_oracle import (
     is_prime,
     realize,
 )
-from z2covers.picard import CurveClass, SurfaceClass
+from z2covers.picard import SurfaceClass
 
 
 def naive_point_count(p, a, b):
@@ -233,7 +235,7 @@ class TestSoundness:
         # relation's difference, to O while the registered points stay distinct.
         bd = construct_family(3)
         spec = bd.group_spec
-        shift = SurfaceClass(0, CurveClass(0, spec.element((1, 1, 0, -1, 0, 0, 0), (0, 0))))
+        shift = SurfaceClass(0, 0, spec.element((1, 1, 0, -1, 0, 0, 0), (0, 0)))
         chi = Character.from_string("100")
         mutant = replace(bd, L={**bd.L, chi: bd.L[chi] + shift})
         curve = CurveOverFp(2003, -1, 0)
@@ -257,3 +259,80 @@ class TestSoundness:
         assert not script and assignment != masking
         report = realize(mutant, curve, assignment)
         assert report.relation_failures == model_failures(mutant) and not report.ok
+
+
+def etale_with(n, extra):
+    """construct_etale(n) in a model with the further torsion factors ``extra``."""
+    spec = GroupSpec(0, (2,) * n + extra)
+    L = {
+        chi: SurfaceClass(0, 0, spec.element((), chi.bits + (0,) * len(extra)))
+        for chi in nontrivial_characters(n)
+    }
+    return BuildingData(n, spec, {}, (), L, {})
+
+
+class TestTorsionSearch:
+    """The torsion search never enumerates a 2-torsion larger than the curve's
+    four points nor the images of odd-order generators."""
+
+    curve = CurveOverFp(2003, -1, 0)  # Z/2 x Z/1002: four 2-torsion points
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """Fail fast where the search would run for hours: two_torsion() of more
+        than four elements, or more than 50 candidates tried.  Yields the
+        candidates tried."""
+        two_torsion = GroupSpec.two_torsion
+
+        def at_most_four(spec):
+            if sum(m % 2 == 0 for m in spec.torsion_orders) > 2:
+                raise AssertionError(f"enumerating the 2-torsion of {spec.torsion_orders}")
+            return two_torsion(spec)
+
+        faithful, tried = curve_oracle._torsion_faithful, []
+
+        def capped(curve, bd, assignment):
+            tried.append(assignment.torsion_points)
+            if len(tried) > 50:
+                raise AssertionError("more than 50 torsion candidates tried")
+            return faithful(curve, bd, assignment)
+
+        monkeypatch.setattr(GroupSpec, "two_torsion", at_most_four)
+        monkeypatch.setattr(curve_oracle, "_torsion_faithful", capped)
+        return tried
+
+    def test_more_two_torsion_than_the_curve_is_refused_unsearched(self, searched):
+        bd = etale_with(3, (2,) * 19)
+        with pytest.raises(ValueError, match="cannot embed the model's torsion subgroup"):
+            find_assignment(bd, self.curve)
+        assert searched == []
+        order_two = self.curve.two_torsion_points()[1]
+        report = realize(bd, self.curve, Assignment((), (order_two,) * 22))
+        assert not report.torsion_faithful and not report.ok
+
+    def test_odd_generators_take_the_first_point_of_their_order(self, searched):
+        bd = etale_with(2, (3,) * 30)
+        assignment = find_assignment(bd, self.curve)
+        assert len(searched) <= 9
+        first = next(pt for pt in self.curve.points() if self.curve.point_order(pt) == 3)
+        assert assignment.torsion_points[2:] == (first,) * 30
+        assert realize(bd, self.curve, assignment).ok
+
+    @pytest.mark.parametrize("extra", [(3,), (6,), (3, 6), (2, 3), (6, 3, 3)])
+    def test_the_first_faithful_candidate_of_the_full_product_is_found(self, extra):
+        bd = etale_with(1, extra)
+        orders = bd.group_spec.torsion_orders
+        of_order = {
+            m: [pt for pt in self.curve.points() if self.curve.point_order(pt) == m]
+            for m in set(orders)
+        }
+        first = next(
+            candidate
+            for candidate in itertools.product(*(of_order[m] for m in orders))
+            if all(
+                curve_oracle._image(self.curve, Assignment((), candidate), t).is_infinity
+                == t.is_zero()
+                for t in bd.group_spec.two_torsion()
+            )
+        )
+        assert find_assignment(bd, self.curve).torsion_points == first

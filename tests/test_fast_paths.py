@@ -43,7 +43,7 @@ from z2covers.cover import (
 )
 from z2covers.curve_oracle import INFINITY, Assignment, CurveOverFp, find_assignment
 from z2covers.invariants import canonical_map_degree, compute_invariants
-from z2covers.picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
+from z2covers.picard import PointOnC, PointOnP1, SurfaceClass
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -198,7 +198,7 @@ def arbitrary_data(draw):
     points_c = {f"P{i}": PointOnC(f"P{i}", element()) for i in range(draw(st.integers(0, 4)))}
     points_p1 = tuple(PointOnP1(f"E{i}") for i in range(draw(st.integers(0, 2))))
     L = {
-        chi: SurfaceClass(draw(st.integers(-3, 3)), CurveClass(draw(st.integers(-3, 3)), element()))
+        chi: SurfaceClass(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), element())
         for chi in nontrivial_characters(n)
     }
     pool = [RationalFiber(p) for p in points_c.values()] + [EllipticFiber(p) for p in points_p1]
@@ -490,7 +490,7 @@ def crowded_data(draw):
     if pool:
         for sigma in nontrivial_elements(n):
             D[sigma] = tuple(draw(st.lists(st.sampled_from(pool), max_size=3)))
-    L = {chi: SurfaceClass(1, CurveClass.zero(spec)) for chi in nontrivial_characters(n)}
+    L = {chi: SurfaceClass(1, 0, spec.zero()) for chi in nontrivial_characters(n)}
     return BuildingData(n, spec, points_c, points_p1, L, D)
 
 

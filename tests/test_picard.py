@@ -1,12 +1,14 @@
 """Divisor classes on the product surface: arithmetic, sections, maps."""
 
+import operator
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from z2covers.abgroup import GroupSpec
 from z2covers.picard import (
-    CurveClass,
     SurfaceClass,
     canonical_class,
     h0,
@@ -19,7 +21,21 @@ SPEC = GroupSpec(3, (2, 2))
 
 
 def cls(a, degree, pic0=None):
-    return SurfaceClass(a, CurveClass(degree, SPEC.zero() if pic0 is None else pic0))
+    return SurfaceClass(a, degree, SPEC.zero() if pic0 is None else pic0)
+
+
+# (a, degree, three free coordinates, two Z/2 coordinates) of a class over SPEC
+VECTORS = st.tuples(*[st.integers(-3, 3)] * 5, st.integers(0, 1), st.integers(0, 1))
+
+
+def flat(u):
+    return (u.a, u.degree, *u.pic0.free, *u.pic0.tors)
+
+
+def reduced(values):
+    """A vector like VECTORS's with its Z/2 coordinates reduced."""
+    values = tuple(values)
+    return (*values[:5], *(v % 2 for v in values[5:]))
 
 
 def eta1():
@@ -39,10 +55,21 @@ class TestClassArithmetic:
         u = cls(1, 0, eta1())
         assert u + u == cls(2, 0)
 
+    @given(VECTORS, VECTORS, st.integers(-4, 4))
+    def test_arithmetic_is_componentwise(self, x, y, k):
+        u, v = (SurfaceClass(c[0], c[1], SPEC.element(c[2:5], c[5:])) for c in (x, y))
+        assert flat(u + v) == reduced(map(operator.add, x, y))
+        assert flat(u - v) == reduced(map(operator.sub, x, y))
+        assert flat(-u) == reduced(-c for c in x)
+        assert flat(k * u) == flat(u * k) == reduced(k * c for c in x)
+        zero = SurfaceClass.zero(SPEC)
+        assert flat(zero) == (0,) * 7 and zero.is_zero() and (u - u).is_zero()
+        assert u.is_zero() == (x == (0,) * 7)
+
     def test_mismatched_group_models_rejected(self):
         other = GroupSpec(1)
         with pytest.raises(ValueError):
-            cls(1, 0) + SurfaceClass(1, CurveClass.zero(other))
+            cls(1, 0) + SurfaceClass(1, 0, other.zero())
 
 
 class TestIntersection:

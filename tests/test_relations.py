@@ -33,7 +33,7 @@ from z2covers.curve_oracle import (
     realize,
 )
 from z2covers.invariants import compute_invariants
-from z2covers.picard import CurveClass, PointOnC, PointOnP1, SurfaceClass
+from z2covers.picard import PointOnC, PointOnP1, SurfaceClass
 
 
 def reference_verify(bd):
@@ -82,15 +82,15 @@ def reference_realize(bd, curve, assignment):
         for chi_prime in chars[i:]:
             checked += 1
             a = bd.L[chi].a + bd.L[chi_prime].a
-            degree = bd.L[chi].c.degree + bd.L[chi_prime].c.degree
-            point = curve.add(phi(bd.L[chi].c.pic0), phi(bd.L[chi_prime].c.pic0))
+            degree = bd.L[chi].degree + bd.L[chi_prime].degree
+            point = curve.add(phi(bd.L[chi].pic0), phi(bd.L[chi_prime].pic0))
             lhs = (a, degree, point)
             product = mul(chi, chi_prime)
             if product.is_trivial():
                 a, degree, point = 0, 0, INFINITY
             else:
                 cls = bd.L[product]
-                a, degree, point = cls.a, cls.c.degree, phi(cls.c.pic0)
+                a, degree, point = cls.a, cls.degree, phi(cls.pic0)
             for sigma in nontrivial_elements(bd.n):
                 if pair(chi, sigma) == -1 and pair(chi_prime, sigma) == -1:
                     for comp in bd.branch(sigma):
@@ -194,12 +194,12 @@ def building_data(draw):
                     label = f"F{len(points_c)}"
                     points_c[label] = PointOnC(label, aj)
                     comps.append(RationalFiber(points_c[label]))
-                h = h + SurfaceClass(0, CurveClass(1, mid))
+                h = h + SurfaceClass(0, 1, mid)
             else:
                 for _ in range(2):
                     points_p1.append(PointOnP1(f"E{len(points_p1)}"))
                     comps.append(EllipticFiber(points_p1[-1]))
-                h = h + SurfaceClass(1, CurveClass.zero(spec))
+                h = h + SurfaceClass(1, 0, spec.zero())
         D[sigma], half[sigma] = tuple(comps), h
 
     two_torsion = spec.two_torsion()
@@ -207,7 +207,7 @@ def building_data(draw):
     L = {}
     for chi in nontrivial_characters(n):
         t = sum((b for bit, b in zip(chi.bits, basis) if bit), spec.zero())
-        cls = SurfaceClass(0, CurveClass(0, t))
+        cls = SurfaceClass(0, 0, t)
         for sigma in nontrivial_elements(n):
             if pair(chi, sigma) == -1:
                 cls = cls + half[sigma]
@@ -216,7 +216,7 @@ def building_data(draw):
     if shifted:
         chi = draw(st.sampled_from(nontrivial_characters(n)))
         shift = draw(st.sampled_from([t for t in two_torsion if not t.is_zero()]))
-        L[chi] = L[chi] + SurfaceClass(0, CurveClass(0, shift))
+        L[chi] = L[chi] + SurfaceClass(0, 0, shift)
     return BuildingData(n, spec, points_c, tuple(points_p1), L, D), shifted
 
 
@@ -307,6 +307,6 @@ def test_a_changed_copy_is_checked_afresh():
     assert verify_relations(bd).ok
     shifted = dict(bd.L)
     chi = bd.characters[0]
-    shifted[chi] = bd.L[chi] + SurfaceClass(0, CurveClass(0, bd.group_spec.torsion_generator(0)))
+    shifted[chi] = bd.L[chi] + SurfaceClass(0, 0, bd.group_spec.torsion_generator(0))
     assert not verify_relations(replace(bd, L=shifted)).ok
     assert verify_relations(bd).ok
