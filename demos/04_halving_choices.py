@@ -22,7 +22,7 @@ bd = construct_family(3)
 spec = bd.group_spec
 
 # the four halvings of F_1 + F_1', computed directly in the group model
-target = bd.points_c["F1"].aj + bd.points_c["F1'"].aj
+target = bd.points_c["F1"] + bd.points_c["F1'"]
 solutions = halvings(target)
 print(f"2y = [F1] + [F1'] has {len(solutions)} solutions:")
 for y in solutions:

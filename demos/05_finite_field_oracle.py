@@ -23,7 +23,8 @@ curve = CurveOverFp(2003, -1, 0)
 order, (d1, d2) = curve.group_structure()
 print(f"{curve}")
 print(f"  {order} points (found by exhaustive enumeration)")
-print(f"  group structure Z/{d1} x Z/{d2}, full 2-torsion: {curve.has_full_two_torsion()}")
+full_two_torsion = len(curve.two_torsion_points()) == 4
+print(f"  group structure Z/{d1} x Z/{d2}, full 2-torsion: {full_two_torsion}")
 
 bd = construct_family(3)
 assignment = find_assignment(bd, curve)

@@ -12,7 +12,6 @@ from .abgroup import GroupElement, GroupSpec, halvings
 from .characters import (
     Character,
     CoverElement,
-    mul,
     nontrivial_characters,
     nontrivial_elements,
     pair,
@@ -26,11 +25,9 @@ from .construction import (
     single_torsion_mutations,
 )
 from .cover import (
-    BranchComponent,
     BuildingData,
     ConsistencyError,
-    EllipticFiber,
-    RationalFiber,
+    Fiber,
     SmoothnessReport,
     VerificationReport,
     branch_class,
@@ -59,8 +56,6 @@ from .invariants import (
 )
 from .picard import (
     MapReport,
-    PointOnC,
-    PointOnP1,
     SurfaceClass,
     canonical_class,
     elliptic_fiber_class,
@@ -73,7 +68,6 @@ from .picard import (
 
 __all__ = [
     "Assignment",
-    "BranchComponent",
     "BuildingData",
     "CanonicalMapReport",
     "CanonicalSystemDescription",
@@ -83,15 +77,12 @@ __all__ = [
     "CoverInvariants",
     "CurveOverFp",
     "CurvePoint",
-    "EllipticFiber",
+    "Fiber",
     "GroupElement",
     "GroupSpec",
     "INFINITY",
     "MapReport",
     "MinimalityEvidence",
-    "PointOnC",
-    "PointOnP1",
-    "RationalFiber",
     "RealizationReport",
     "RelationRow",
     "SmoothnessReport",
@@ -113,7 +104,6 @@ __all__ = [
     "is_base_point_free",
     "map_analysis",
     "minimality_evidence",
-    "mul",
     "nontrivial_characters",
     "nontrivial_elements",
     "pair",

@@ -102,11 +102,6 @@ class Character(_BitVector):
         return not self.mask
 
 
-def mul(chi: Character, other: Character) -> Character:
-    """Product of characters; xor of the masks."""
-    return chi * other
-
-
 @lru_cache(maxsize=None)
 def _vectors(cls: type, n: int, first: int) -> tuple:
     """The vectors of Z_2^n with masks first .. 2^n - 1, in lexicographic bit order."""

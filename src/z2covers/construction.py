@@ -39,8 +39,8 @@ from typing import Iterator, Sequence
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters
-from .cover import BuildingData, EllipticFiber, RationalFiber, relations
-from .picard import PointOnC, PointOnP1, SurfaceClass, elliptic_fiber_class
+from .cover import BuildingData, Fiber, relations
+from .picard import SurfaceClass, elliptic_fiber_class
 
 _HALVED_FIBER = re.compile(r"^F(\d+)_\1$")
 
@@ -80,22 +80,11 @@ def construct_family(n: int, halving_choice: Sequence[int] | None = None) -> Bui
 
     halved_aj = [g[i] + offsets[choice[i]] for i in range(n)]
 
-    points_c: dict[str, PointOnC] = {}
-
-    def register(label: str, aj: GroupElement) -> PointOnC:
-        point = PointOnC(label, aj)
-        points_c[label] = point
-        return point
-
-    plain = [register(f"F{i + 1}", h[i]) for i in range(n)]
-    primed = [register(f"F{i + 1}'", 2 * halved_aj[i] - h[i]) for i in range(n)]
-    for i in range(n):
-        register(f"F{i + 1}_{i + 1}", halved_aj[i])
-    register("F1''", u)
-    register("F2''", u - t1)
-    register("F3''", u - t1 - t2)
-
-    points_p1 = tuple(PointOnP1(f"E{j + 1}") for j in range(6))
+    points_c = {f"F{i + 1}": h[i] for i in range(n)}
+    points_c.update((f"F{i + 1}'", 2 * halved_aj[i] - h[i]) for i in range(n))
+    points_c.update((f"F{i + 1}_{i + 1}", halved_aj[i]) for i in range(n))
+    points_c.update({"F1''": u, "F2''": u - t1, "F3''": u - t1 - t2})
+    points_p1 = tuple(f"E{j + 1}" for j in range(6))
 
     e = elliptic_fiber_class(spec)
     sum_halved = SurfaceClass(0, n, spec.sum(halved_aj))
@@ -109,18 +98,14 @@ def construct_family(n: int, halving_choice: Sequence[int] | None = None) -> Bui
         Character.from_string("111"): e + sum_halved + SurfaceClass(0, 0, t1 + t2),
     }
 
-    interleaved = []
-    for i in range(n):
-        interleaved.append(RationalFiber(plain[i]))
-        interleaved.append(RationalFiber(primed[i]))
+    E = [Fiber("E", label) for label in points_p1]
     D = {
-        CoverElement.from_string("100"): (
-            EllipticFiber(points_p1[0]), EllipticFiber(points_p1[1])),
-        CoverElement.from_string("101"): (
-            EllipticFiber(points_p1[2]), EllipticFiber(points_p1[3])),
-        CoverElement.from_string("110"): (
-            EllipticFiber(points_p1[4]), EllipticFiber(points_p1[5])),
-        CoverElement.from_string("111"): tuple(interleaved),
+        CoverElement.from_string("100"): (E[0], E[1]),
+        CoverElement.from_string("101"): (E[2], E[3]),
+        CoverElement.from_string("110"): (E[4], E[5]),
+        CoverElement.from_string("111"): tuple(
+            Fiber("F", label) for i in range(n) for label in (f"F{i + 1}", f"F{i + 1}'")
+        ),
     }
 
     return BuildingData(3, spec, points_c, points_p1, L, D)
@@ -173,10 +158,10 @@ def _family_shape(bd: BuildingData) -> tuple[int, GroupElement]:
     """Number of halved fibers and the sum of their classes; family data only."""
     if bd.n != 3 or bd.group_spec.torsion_orders != (2, 2):
         raise ValueError("relations table needs data built by construct_family")
-    halved = [p for p in bd.points_c.values() if _HALVED_FIBER.match(p.label)]
+    halved = [aj for label, aj in bd.points_c.items() if _HALVED_FIBER.match(label)]
     if len(halved) < 2:
         raise ValueError("relations table needs data built by construct_family")
-    return len(halved), bd.group_spec.sum(p.aj for p in halved)
+    return len(halved), bd.group_spec.sum(halved)
 
 
 def _symbolize(cls: SurfaceClass, fiber_count: int, halved_sum: GroupElement) -> str:

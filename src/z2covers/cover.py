@@ -17,82 +17,58 @@ the "diagonal" relations.
 pair; every consumer (the verifier, the generator completion, the family's
 relations table, the curve oracle) evaluates those rows in its own arithmetic.
 
-Branch components here are always whole fibers of one of the two rulings.
-That restriction keeps the smoothness criterion purely combinatorial:
-fibers of the same ruling are disjoint once they are distinct, and fibers
-of opposite rulings meet exactly once, transversally.  So the total branch
-locus is a simple normal crossings divisor as soon as its components are
-pairwise distinct and distinct point labels on the elliptic curve carry
-distinct degree-zero classes.
+Branch components here are always whole fibers of one of the two rulings,
+held as the file holds them: a :class:`Fiber` of kind "E" or "F" and the
+label of the point it lies over.  The classes of the points are registered
+once, in the data's ``points_c``.  That restriction keeps the smoothness
+criterion purely combinatorial: fibers of the same ruling are disjoint once
+they are distinct, and fibers of opposite rulings meet exactly once,
+transversally.  So the total branch locus is a simple normal crossings
+divisor as soon as its components are pairwise distinct and distinct point
+labels on the elliptic curve carry distinct degree-zero classes.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters, nontrivial_elements
-from .picard import (
-    PointOnC,
-    PointOnP1,
-    SurfaceClass,
-    elliptic_fiber_class,
-    rational_fiber_class,
-)
+from .picard import SurfaceClass
 
 
 @dataclass(frozen=True)
-class EllipticFiber:
-    """Branch component {t} x C over a point of the rational curve."""
+class Fiber:
+    """A branch component: the whole fiber over the point ``label``.
 
-    point: PointOnP1
-
-    @property
-    def label(self) -> str:
-        return self.point.label
-
-    @property
-    def kind(self) -> str:
-        return "E"
-
-
-@dataclass(frozen=True)
-class RationalFiber:
-    """Branch component P1 x {p} over a point of the elliptic curve."""
-
-    point: PointOnC
-
-    @property
-    def label(self) -> str:
-        return self.point.label
-
-    @property
-    def kind(self) -> str:
-        return "F"
-
-
-BranchComponent = Union[EllipticFiber, RationalFiber]
-
-
-def component_class(comp: BranchComponent, spec: GroupSpec) -> SurfaceClass:
-    if isinstance(comp, EllipticFiber):
-        return elliptic_fiber_class(spec)
-    return rational_fiber_class(spec, comp.point.aj)
-
-
-def branch_class(components: Sequence[BranchComponent], spec: GroupSpec) -> SurfaceClass:
-    """Class of a sum of fiber components; the empty sum is the zero class.
-
-    Each elliptic fiber adds E and each rational fiber adds (1, aj), so the
-    sum counts the first kind and adds the points of the second in one pass.
+    Kind "E" is the elliptic fiber {t} x C over a point of the rational
+    curve, kind "F" the rational fiber P1 x {p} over a point of the
+    elliptic curve.
     """
-    points = [comp.point.aj for comp in components if isinstance(comp, RationalFiber)]
-    return SurfaceClass(len(components) - len(points), len(points), spec.sum(points))
+
+    kind: str
+    label: str
+
+
+def branch_class(
+    fibers: Sequence[Fiber], points_c: Mapping[str, GroupElement], spec: GroupSpec
+) -> SurfaceClass:
+    """Class of a sum of fibers; the empty sum is the zero class.
+
+    Each E fiber adds E and each F fiber adds (1, class of its point) from
+    the registry ``points_c``, so the sum counts the first kind and adds the
+    points of the second in one pass.
+    """
+    points = [points_c[fiber.label] for fiber in fibers if fiber.kind == "F"]
+    return SurfaceClass(len(fibers) - len(points), len(points), spec.sum(points))
+
+
+_CURVE_OF_KIND = {"E": "rational-curve", "F": "elliptic-curve"}
 
 
 @dataclass(frozen=True)
@@ -100,34 +76,34 @@ class BuildingData:
     """Candidate building data for a Z_2^n cover.
 
     ``n`` is the number of Z_2 factors of the covering group.  ``points_c``
-    and ``points_p1`` register every named point of the configuration,
-    including points that appear only through the classes L_chi and not in
-    any branch divisor.  Construction validates shape only (all nontrivial
-    characters present, components referencing registered points, one group
-    model throughout); whether the data actually defines a smooth cover is
-    the verifiers' business, and they report rather than raise.
+    maps the label of every named point of the elliptic curve to its
+    degree-zero class, and ``points_p1`` lists the labels of the named points
+    of the rational curve, including points that appear only through the
+    classes L_chi and not in any branch divisor.  Construction validates
+    shape only (all nontrivial characters present, every fiber over a point
+    registered for its kind, one group model throughout); whether the data
+    actually defines a smooth cover is the verifiers' business, and they
+    report rather than raise.
     """
 
     n: int
     group_spec: GroupSpec
-    points_c: Mapping[str, PointOnC]
-    points_p1: tuple[PointOnP1, ...]
+    points_c: Mapping[str, GroupElement]
+    points_p1: tuple[str, ...]
     L: Mapping[Character, SurfaceClass]
-    D: Mapping[CoverElement, tuple[BranchComponent, ...]]
+    D: Mapping[CoverElement, tuple[Fiber, ...]]
 
     def __post_init__(self) -> None:
         chars = nontrivial_characters(self.n)
         sigmas = nontrivial_elements(self.n)
 
         points_c = dict(self.points_c)
-        for label, point in points_c.items():
-            if point.label != label:
-                raise ValueError(f"point registered under {label!r} has label {point.label!r}")
-            if point.aj.spec != self.group_spec:
+        for label, aj in points_c.items():
+            if aj.spec != self.group_spec:
                 raise ValueError(f"point {label!r} lives in a different group model")
         points_p1 = tuple(self.points_p1)
-        p1_labels = [p.label for p in points_p1]
-        if len(set(p1_labels)) != len(p1_labels):
+        registered = {"E": frozenset(points_p1), "F": points_c}
+        if len(registered["E"]) != len(points_p1):
             raise ValueError("duplicate labels among rational-curve points")
 
         L = dict(self.L)
@@ -140,21 +116,12 @@ class BuildingData:
         D = {sigma: tuple(self.D.get(sigma, ())) for sigma in sigmas}
         if not set(self.D) <= set(sigmas):
             raise ValueError("branch divisors must be indexed by nontrivial group elements")
-        for sigma, comps in D.items():
-            for comp in comps:
-                if isinstance(comp, RationalFiber):
-                    registered = points_c.get(comp.label)
-                    if registered is None or registered != comp.point:
-                        raise ValueError(
-                            f"component over unregistered elliptic-curve point {comp.label!r}"
-                        )
-                elif isinstance(comp, EllipticFiber):
-                    if comp.label not in p1_labels:
-                        raise ValueError(
-                            f"component over unregistered rational-curve point {comp.label!r}"
-                        )
-                else:
-                    raise ValueError(f"unknown branch component {comp!r}")
+        for fiber in itertools.chain.from_iterable(D.values()):
+            curve = _CURVE_OF_KIND.get(fiber.kind)
+            if curve is None:
+                raise ValueError(f"unknown component kind {fiber.kind!r}")
+            if fiber.label not in registered[fiber.kind]:
+                raise ValueError(f"component over unregistered {curve} point {fiber.label!r}")
 
         object.__setattr__(self, "points_c", MappingProxyType(points_c))
         object.__setattr__(self, "points_p1", points_p1)
@@ -169,15 +136,15 @@ class BuildingData:
     def elements(self) -> tuple[CoverElement, ...]:
         return nontrivial_elements(self.n)
 
-    def branch(self, sigma: CoverElement) -> tuple[BranchComponent, ...]:
+    def branch(self, sigma: CoverElement) -> tuple[Fiber, ...]:
         return self.D.get(sigma, ())
 
     def branch_class_of(self, sigma: CoverElement) -> SurfaceClass:
-        return branch_class(self.branch(sigma), self.group_spec)
+        return branch_class(self.branch(sigma), self.points_c, self.group_spec)
 
     def total_branch_class(self) -> SurfaceClass:
-        components = [c for sigma in self.elements for c in self.branch(sigma)]
-        return branch_class(components, self.group_spec)
+        fibers = [fiber for sigma in self.elements for fiber in self.branch(sigma)]
+        return branch_class(fibers, self.points_c, self.group_spec)
 
     @cached_property
     def verification(self) -> VerificationReport:
@@ -313,11 +280,10 @@ class SmoothnessReport:
 def verify_smoothness(bd: BuildingData) -> SmoothnessReport:
     """One pass over the components, one over the points and one over D: each
     set collapses exactly the duplicates a comparison of all pairs would find."""
-    components = [(comp.kind, comp.label) for sigma in bd.elements for comp in bd.branch(sigma)]
-    reduced = len(set(components)) == len(components)
-    classes = [point.aj for point in bd.points_c.values()]
-    injective = len(set(classes)) == len(classes)
-    independent = all(len({comp.kind for comp in bd.branch(sigma)}) < 2 for sigma in bd.elements)
+    fibers = [fiber for sigma in bd.elements for fiber in bd.branch(sigma)]
+    reduced = len(set(fibers)) == len(fibers)
+    injective = len(set(bd.points_c.values())) == len(bd.points_c)
+    independent = all(len({fiber.kind for fiber in bd.branch(sigma)}) < 2 for sigma in bd.elements)
     return SmoothnessReport(reduced, reduced and injective, injective, independent)
 
 
@@ -333,11 +299,11 @@ def derive_from_generators(
     l100: SurfaceClass,
     l010: SurfaceClass,
     l001: SurfaceClass,
-    branch: Mapping[CoverElement, Sequence[BranchComponent]],
+    branch: Mapping[CoverElement, Sequence[Fiber]],
     *,
     group_spec: GroupSpec,
-    points_c: Mapping[str, PointOnC] = (),
-    points_p1: Sequence[PointOnP1] = (),
+    points_c: Mapping[str, GroupElement] = (),
+    points_p1: Sequence[str] = (),
 ) -> BuildingData:
     """Complete the three generator classes of a Z_2^3 cover to full data.
 
@@ -351,10 +317,12 @@ def derive_from_generators(
     if the diagonal relation 2 L_e == sum of D_sigma over e(sigma) = -1
     fails for a generator character e, or if any residual relation fails.
     """
-    basis = [chi for chi in nontrivial_characters(3) if chi.mask.bit_count() == 1]
-    branch = {sigma: tuple(branch.get(sigma, ())) for sigma in nontrivial_elements(3)}
-    branch_classes = {sigma: branch_class(comps, group_spec) for sigma, comps in branch.items()}
+    chars = nontrivial_characters(3)
+    basis = [chi for chi in chars if chi.mask.bit_count() == 1]
     zero = SurfaceClass.zero(group_spec)
+    # The shape is checked before any class is formed, with every L_chi zero.
+    draft = BuildingData(3, group_spec, points_c, points_p1, dict.fromkeys(chars, zero), branch)
+    branch_classes = {sigma: draft.branch_class_of(sigma) for sigma in draft.elements}
     # With e the highest generator in chi, the row (chi.e, e) comes after
     # every row that completes chi.e, so one pass in table order suffices.
     L = dict(zip(basis, (l001, l010, l100)))
@@ -363,7 +331,7 @@ def derive_from_generators(
         if completes and r.product not in L:
             L[r.product] = L[r.chi] + L[r.chi_prime] - r.branch_sum(branch_classes, zero)
 
-    bd = BuildingData(3, group_spec, dict(points_c), tuple(points_p1), L, branch)
+    bd = replace(draft, L=L)
     report = verify_relations(bd)
     diagonal = [f for f in report.failures if f.chi == f.chi_prime and f.chi.mask.bit_count() == 1]
     if diagonal:

@@ -26,7 +26,7 @@ from math import gcd
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character
-from .cover import BranchComponent, BuildingData, RationalFiber, relations, verify_relations
+from .cover import BuildingData, Fiber, relations, verify_relations
 
 MAX_EXHAUSTIVE_PRIME = 10_000
 ATTEMPTS = 400  # draws of free-generator images before find_assignment gives up
@@ -107,9 +107,6 @@ class CurveOverFp:
         y3 = (slope * (p1.x - x3) - p1.y) % p
         return CurvePoint(x3, y3)
 
-    def double(self, point: CurvePoint) -> CurvePoint:
-        return self.add(point, point)
-
     def scale(self, k: int, point: CurvePoint) -> CurvePoint:
         if k < 0:
             return self.scale(-k, self.negate(point))
@@ -118,7 +115,7 @@ class CurveOverFp:
         while k:
             if k & 1:
                 result = self.add(result, addend)
-            addend = self.double(addend)
+            addend = self.add(addend, addend)
             k >>= 1
         return result
 
@@ -183,9 +180,6 @@ class CurveOverFp:
         if self._two_torsion is None:
             self._two_torsion = tuple(pt for pt in self.points() if pt.is_infinity or pt.y == 0)
         return self._two_torsion
-
-    def has_full_two_torsion(self) -> bool:
-        return len(self.two_torsion_points()) == 4
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -257,7 +251,7 @@ def _point_images(
     images: dict[str, CurvePoint] = {}
     by_image: dict[CurvePoint, list[str]] = {}
     for label in sorted(bd.points_c):
-        images[label] = point = _image(curve, assignment, bd.points_c[label].aj)
+        images[label] = point = _image(curve, assignment, bd.points_c[label])
         by_image.setdefault(point, []).append(label)
     pairs = (pair for labels in by_image.values() for pair in itertools.combinations(labels, 2))
     return images, tuple(sorted(pairs))
@@ -293,9 +287,9 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
     def add(u: tuple, v: tuple) -> tuple:
         return u[0] + v[0], u[1] + v[1], curve.add(u[2], v[2])
 
-    def component(comp: BranchComponent) -> tuple:
-        if isinstance(comp, RationalFiber):
-            return 0, 1, realized[comp.label]
+    def component(fiber: Fiber) -> tuple:
+        if fiber.kind == "F":
+            return 0, 1, realized[fiber.label]
         return 1, 0, INFINITY
 
     zero = (0, 0, INFINITY)

@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .characters import Character, CoverElement, pair
-from .cover import BranchComponent, BuildingData, component_class, verify_relations
+from .cover import BuildingData, Fiber, branch_class, verify_relations
 from .picard import (
     SurfaceClass,
     canonical_class,
@@ -115,7 +115,7 @@ class CanonicalGenerator:
 
     character: Character
     line_class: SurfaceClass
-    ramification: tuple[tuple[CoverElement, tuple[BranchComponent, ...]], ...]
+    ramification: tuple[tuple[CoverElement, tuple[Fiber, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -212,10 +212,9 @@ def minimality_evidence(bd: BuildingData) -> MinimalityEvidence:
         ("F", intersect(s, rational_fiber_class(spec))),
     ]
     for sigma in bd.elements:
-        for comp in bd.branch(sigma):
-            checks.append(
-                (f"{comp.kind}:{comp.label}", intersect(s, component_class(comp, spec)))
-            )
+        for fiber in bd.branch(sigma):
+            component = branch_class((fiber,), bd.points_c, spec)
+            checks.append((f"{fiber.kind}:{fiber.label}", intersect(s, component)))
     s2 = intersect(s, s)
     nef_and_big = s2 > 0 and all(v >= 0 for _, v in checks)
     return MinimalityEvidence(s, s2, tuple(checks), nef_and_big)

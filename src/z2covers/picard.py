@@ -3,13 +3,17 @@
 The Picard group of the product splits as Z.E + Pic(C), where E is a
 fiber of the projection to the rational factor (a copy of the elliptic
 curve C) and the complementary ruling consists of rational fibers, one
-over each point of C.  A surface class, a.E plus the pullback of a curve
-class, is held as the three values (a, degree, pic0): the coefficient a,
-the degree on C and the degree-zero part on C, the same three fields the
-file format and the reports write.  Two classes are linearly equivalent
-exactly when all three agree, and arithmetic is componentwise.  The
-degree-zero part is an element of the abstract group model from
-:mod:`z2covers.abgroup`; combining elements of two different models raises.
+over each point of C.  A named point of C enters only through its
+degree-zero class (point - basepoint), an element of the group model, so
+the building data keeps that element and nothing else; a point of the
+rational curve has no class beyond its degree, so it is kept as its label.
+A surface class, a.E plus the pullback of a curve class, is held as the
+three values (a, degree, pic0): the coefficient a, the degree on C and the
+degree-zero part on C, the same three fields the file format and the
+reports write.  Two classes are linearly equivalent exactly when all three
+agree, and arithmetic is componentwise.  The degree-zero part is an element
+of the abstract group model from :mod:`z2covers.abgroup`; combining
+elements of two different models raises.
 
 Intersection numbers only see the two degrees, because E^2 = F^2 = 0 and
 E.F = 1 for fibers E, F of the two rulings.  Section counts multiply
@@ -32,27 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abgroup import GroupElement, GroupSpec
-
-
-@dataclass(frozen=True)
-class PointOnC:
-    """A point of the elliptic curve, identified by label and its class.
-
-    ``aj`` is the degree-zero class of (point - basepoint).  Within one
-    configuration, distinct labels must carry distinct ``aj`` values; the
-    smoothness verifier checks this injectivity.
-    """
-
-    label: str
-    aj: GroupElement
-
-
-@dataclass(frozen=True)
-class PointOnP1:
-    """A point of the rational curve.  All degree-1 classes agree, so the
-    label is the only datum."""
-
-    label: str
 
 
 @dataclass(frozen=True)

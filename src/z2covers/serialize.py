@@ -11,9 +11,12 @@ A building-data document is a single JSON object:
       "D": {"100": [{"kind": "E", "label": "E1"}, ...], "001": [], ...}
     }
 
-Characters and group elements are keyed by their bit strings.  Emission is
-canonical: keys sorted, two-space indent, trailing newline, every branch
-index present even when empty.  Parsing tolerates missing branch indices
+Characters and group elements are keyed by their bit strings.  The data in
+memory has the same shape: ``points_c`` maps labels to group elements,
+``points_p1`` is the tuple of labels, and each entry of D is a
+``Fiber(kind, label)``, so reading and writing convert only group elements,
+classes and bit strings.  Emission is canonical: keys sorted, two-space
+indent, trailing newline, every branch index present even when empty.  Parsing tolerates missing branch indices
 (read as empty) and rejects everything else malformed with FormatError:
 every object must carry exactly its keys, each of them once; rank, torsion
 orders, a, degree, free and tors entries must be JSON integers; and no
@@ -43,8 +46,8 @@ from typing import Any, Callable
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement
-from .cover import BranchComponent, BuildingData, EllipticFiber, RationalFiber
-from .picard import PointOnC, PointOnP1, SurfaceClass
+from .cover import BuildingData, Fiber
+from .picard import SurfaceClass
 
 # The C function json.dumps calls to quote a str (ensure_ascii is its default).
 _quote = json.encoder.encode_basestring_ascii
@@ -129,25 +132,21 @@ def plain(verdict: Any) -> Any:
 
 def _document(bd: BuildingData, element: Callable[[GroupElement], Any]) -> dict[str, Any]:
     """The document tree, with each group element as ``element`` renders it."""
-
-    def component_ref(comp: BranchComponent) -> dict[str, str]:
-        return {"kind": comp.kind, "label": comp.label}
-
     return {
         "schema_version": SCHEMA_VERSION,
         "group_spec": {
             "rank": bd.group_spec.rank,
             "torsion": list(bd.group_spec.torsion_orders),
         },
-        "points_c": {label: element(point.aj) for label, point in bd.points_c.items()},
-        "points_p1": [point.label for point in bd.points_p1],
+        "points_c": {label: element(aj) for label, aj in bd.points_c.items()},
+        "points_p1": list(bd.points_p1),
         "L": {
             str(chi): {"a": cls.a, "degree": cls.degree, "pic0": element(cls.pic0)}
             for chi, cls in bd.L.items()
         },
         "D": {
-            str(sigma): [component_ref(c) for c in comps]
-            for sigma, comps in bd.D.items()
+            str(sigma): [{"kind": fiber.kind, "label": fiber.label} for fiber in fibers]
+            for sigma, fibers in bd.D.items()
         },
     }
 
@@ -172,13 +171,12 @@ def building_data_from_dict(doc: Any) -> BuildingData:
             tuple(_integer(m, "torsion order") for m in _array(group_spec["torsion"], "torsion")),
         )
         points_c = {
-            label: PointOnC(label, element_from_dict(entry, spec))
+            label: element_from_dict(entry, spec)
             for label, entry in _object(doc["points_c"], "points_c").items()
         }
-        p1_labels = _array(doc["points_p1"], "points_p1")
-        if not set(map(type, p1_labels)) <= {str}:
+        points_p1 = _array(doc["points_p1"], "points_p1")
+        if not set(map(type, points_p1)) <= {str}:
             raise FormatError("points_p1 entries must be JSON strings")
-        points_p1 = tuple(map(PointOnP1, p1_labels))
         L = {
             Character.from_string(key): surface_class_from_dict(entry, spec)
             for key, entry in _object(doc["L"], "L").items()
@@ -190,19 +188,18 @@ def building_data_from_dict(doc: Any) -> BuildingData:
             raise FormatError("characters of mixed bit length")
         (n,) = lengths
 
-        def component(ref: Any) -> BranchComponent:
+        def fiber(ref: Any) -> Fiber:
             ref = _object(ref, "branch component", _COMPONENT_KEYS)
             kind, label = ref["kind"], ref["label"]
-            if kind == "E":
-                return EllipticFiber(PointOnP1(label))
-            if kind == "F":
-                if label not in points_c:
-                    raise FormatError(f"branch component over unknown point {label!r}")
-                return RationalFiber(points_c[label])
-            raise FormatError(f"unknown component kind {kind!r}")
+            # BuildingData refuses both too; a file reports them as format errors, in these words.
+            if kind not in ("E", "F"):
+                raise FormatError(f"unknown component kind {kind!r}")
+            if kind == "F" and label not in points_c:
+                raise FormatError(f"branch component over unknown point {label!r}")
+            return Fiber(kind, label)
 
         D = {
-            CoverElement.from_string(key): tuple(map(component, _array(refs, f"D[{key!r}]")))
+            CoverElement.from_string(key): tuple(map(fiber, _array(refs, f"D[{key!r}]")))
             for key, refs in _object(doc["D"], "D").items()
         }
         return BuildingData(n, spec, points_c, points_p1, L, D)

@@ -8,7 +8,6 @@ from z2covers.characters import (
     Character,
     CoverElement,
     elements,
-    mul,
     nontrivial_characters,
     nontrivial_elements,
     pair,
@@ -29,7 +28,7 @@ def test_character_is_callable():
 
 
 def test_product_examples():
-    assert mul(Character.from_string("100"), Character.from_string("010")) == Character.from_string("110")
+    assert Character.from_string("100") * Character.from_string("010") == Character.from_string("110")
     chi = Character.from_string("011")
     assert (chi * chi).is_trivial()
     assert Character.from_string("010") * Character.from_string("001") == Character.from_string("011")
@@ -49,7 +48,7 @@ def test_enumeration_counts_and_order():
 def test_pairing_is_multiplicative(n):
     for chi, chi_prime in itertools.product(nontrivial_characters(n), repeat=2):
         for sigma in elements(n):
-            assert pair(mul(chi, chi_prime), sigma) == pair(chi, sigma) * pair(chi_prime, sigma)
+            assert pair(chi * chi_prime, sigma) == pair(chi, sigma) * pair(chi_prime, sigma)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -62,7 +61,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         pair(Character.from_string("10"), CoverElement.from_string("100"))
     with pytest.raises(ValueError):
-        mul(Character.from_string("10"), Character.from_string("100"))
+        Character.from_string("10") * Character.from_string("100")
     with pytest.raises(ValueError):
         CoverElement.from_string("10") + CoverElement.from_string("100")
 

@@ -43,7 +43,7 @@ class TestConstructFamily:
             ["F1", "F2", "F3", "F1'", "F2'", "F3'", "F1_1", "F2_2", "F3_3",
              "F1''", "F2''", "F3''"]
         )
-        assert [p.label for p in bd.points_p1] == ["E1", "E2", "E3", "E4", "E5", "E6"]
+        assert list(bd.points_p1) == ["E1", "E2", "E3", "E4", "E5", "E6"]
 
     def test_all_points_have_distinct_classes(self):
         for n in (2, 3, 7):
@@ -52,14 +52,14 @@ class TestConstructFamily:
     def test_halved_fiber_relation_holds(self):
         bd = construct_family(3)
         for i in (1, 2, 3):
-            halved = bd.points_c[f"F{i}_{i}"].aj
-            plain = bd.points_c[f"F{i}"].aj
-            primed = bd.points_c[f"F{i}'"].aj
+            halved = bd.points_c[f"F{i}_{i}"]
+            plain = bd.points_c[f"F{i}"]
+            primed = bd.points_c[f"F{i}'"]
             assert 2 * halved == plain + primed
 
     def test_double_primed_fibers_share_a_double(self):
         bd = construct_family(3)
-        doubles = {2 * bd.points_c[f"F{j}''"].aj for j in (1, 2, 3)}
+        doubles = {2 * bd.points_c[f"F{j}''"] for j in (1, 2, 3)}
         assert len(doubles) == 1
 
     def test_branch_layout(self):
@@ -83,8 +83,8 @@ class TestConstructFamily:
     def test_halving_choice_moves_only_the_halved_fibers(self):
         plain = construct_family(3)
         variant = construct_family(3, (1, 0, 0))
-        assert variant.points_c["F1_1"].aj != plain.points_c["F1_1"].aj
-        assert variant.points_c["F1'"].aj == plain.points_c["F1'"].aj
+        assert variant.points_c["F1_1"] != plain.points_c["F1_1"]
+        assert variant.points_c["F1'"] == plain.points_c["F1'"]
         assert verify_relations(variant).ok
         assert verify_smoothness(variant).snc
 

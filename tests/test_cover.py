@@ -13,15 +13,14 @@ from z2covers.construction import construct_family
 from z2covers.cover import (
     BuildingData,
     ConsistencyError,
-    EllipticFiber,
-    RationalFiber,
+    Fiber,
     branch_class,
     derive_from_generators,
     verify_relations,
     verify_smoothness,
 )
-from z2covers.picard import PointOnC, PointOnP1, SurfaceClass
-from z2covers.serialize import dumps
+from z2covers.picard import SurfaceClass
+from z2covers.serialize import building_data_to_dict, dumps
 
 
 def chi(s):
@@ -41,22 +40,20 @@ def torsion_shift(bd, character, t):
 class TestBranchClass:
     def test_two_elliptic_fibers(self):
         spec = GroupSpec(1, (2, 2))
-        comps = [EllipticFiber(PointOnP1("E1")), EllipticFiber(PointOnP1("E2"))]
-        assert branch_class(comps, spec) == SurfaceClass(2, 0, spec.zero())
+        comps = [Fiber("E", "E1"), Fiber("E", "E2")]
+        assert branch_class(comps, {}, spec) == SurfaceClass(2, 0, spec.zero())
 
     def test_empty_sum_is_zero(self):
         spec = GroupSpec(1, (2, 2))
-        assert branch_class([], spec).is_zero()
+        assert branch_class([], {}, spec).is_zero()
 
     def test_halving_pair_sums_to_twice_the_halved_class(self):
         spec = GroupSpec(2, ())
         g1 = spec.free_generator(0)
         h1 = spec.free_generator(1)
-        comps = [
-            RationalFiber(PointOnC("F1", h1)),
-            RationalFiber(PointOnC("F1'", 2 * g1 - h1)),
-        ]
-        assert branch_class(comps, spec) == SurfaceClass(0, 2, 2 * g1)
+        points_c = {"F1": h1, "F1'": 2 * g1 - h1}
+        comps = [Fiber("F", "F1"), Fiber("F", "F1'")]
+        assert branch_class(comps, points_c, spec) == SurfaceClass(0, 2, 2 * g1)
 
 
 class TestVerifyRelations:
@@ -115,10 +112,10 @@ def nodal_double_cover():
     """
     spec = GroupSpec(2, ())
     g = spec.free_generator(0)
-    points_c = {"P": PointOnC("P", 2 * g), "Q": PointOnC("Q", spec.zero())}
-    points_p1 = (PointOnP1("E1"), PointOnP1("E2"))
+    points_c = {"P": 2 * g, "Q": spec.zero()}
+    points_p1 = ("E1", "E2")
     L = {chi("1"): SurfaceClass(1, 1, g)}
-    fibers = [*map(EllipticFiber, points_p1), *map(RationalFiber, points_c.values())]
+    fibers = [Fiber("E", "E1"), Fiber("E", "E2"), Fiber("F", "P"), Fiber("F", "Q")]
     D = {sigma("1"): tuple(fibers)}
     return BuildingData(1, spec, points_c, points_p1, L, D)
 
@@ -156,7 +153,7 @@ class TestVerifySmoothness:
 
     def test_component_repeated_across_branches_breaks_reducedness(self):
         bd = construct_family(3)
-        e1 = EllipticFiber(bd.points_p1[0])
+        e1 = Fiber("E", bd.points_p1[0])
         d = dict(bd.D)
         d[sigma("101")] = (e1, d[sigma("101")][1])
         report = verify_smoothness(replace(bd, D=d))
@@ -166,7 +163,7 @@ class TestVerifySmoothness:
     def test_equal_degree_zero_classes_break_injectivity(self):
         spec = GroupSpec(1, (2, 2))
         p = spec.free_generator(0)
-        points = {"P": PointOnC("P", p), "Q": PointOnC("Q", p)}
+        points = {"P": p, "Q": p}
         L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
         report = verify_smoothness(BuildingData(3, spec, points, (), L, {}))
         assert not report.injective_points
@@ -210,12 +207,13 @@ class TestDeriveFromGenerators:
         # over pic0 = Z/2 x Z/2 with four elliptic-fiber pairs, every choice
         # of torsion twists for the three generators completes consistently
         spec = GroupSpec(0, (2, 2))
-        p1 = tuple(PointOnP1(f"E{i}") for i in range(1, 9))
+        p1 = tuple(f"E{i}" for i in range(1, 9))
+        fibers = [Fiber("E", label) for label in p1]
         branch = {
-            sigma("100"): (EllipticFiber(p1[0]), EllipticFiber(p1[1])),
-            sigma("101"): (EllipticFiber(p1[2]), EllipticFiber(p1[3])),
-            sigma("110"): (EllipticFiber(p1[4]), EllipticFiber(p1[5])),
-            sigma("111"): (EllipticFiber(p1[6]), EllipticFiber(p1[7])),
+            sigma("100"): (fibers[0], fibers[1]),
+            sigma("101"): (fibers[2], fibers[3]),
+            sigma("110"): (fibers[4], fibers[5]),
+            sigma("111"): (fibers[6], fibers[7]),
         }
         found = []
         for alpha, beta, gamma in itertools.product(spec.elements(), repeat=3):
@@ -301,9 +299,41 @@ class TestBuildingDataShape:
     def test_component_over_unregistered_point_rejected(self):
         spec = GroupSpec(1, (2, 2))
         L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
-        stray = RationalFiber(PointOnC("ghost", spec.zero()))
+        stray = Fiber("F", "ghost")
         with pytest.raises(ValueError):
             BuildingData(3, spec, {}, (), L, {sigma("100"): (stray,)})
+
+    @pytest.mark.parametrize(
+        "fiber,message",
+        [
+            (Fiber("F", "E1"), "branch component over unknown point 'E1'"),
+            (
+                Fiber("E", "F1"),
+                "malformed building data: component over unregistered rational-curve point 'F1'",
+            ),
+            (Fiber("X", "E1"), "unknown component kind 'X'"),
+            (
+                Fiber("E", "ghost"),
+                "malformed building data: component over unregistered rational-curve point 'ghost'",
+            ),
+            (Fiber("F", "ghost"), "branch component over unknown point 'ghost'"),
+        ],
+        ids=["F-over-a-P1-point", "E-over-a-C-point", "unknown-kind", "E-nowhere", "F-nowhere"],
+    )
+    def test_a_fiber_must_lie_over_a_point_registered_for_its_kind(
+        self, fiber, message, tmp_path, capsys
+    ):
+        bd = construct_family(2)
+        d = dict(bd.D)
+        d[sigma("011")] = (fiber,)
+        with pytest.raises(ValueError):
+            replace(bd, D=d)
+        doc = building_data_to_dict(bd)
+        doc["D"]["011"] = [{"kind": fiber.kind, "label": fiber.label}]
+        path = tmp_path / "unregistered.bd.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_branch_indices_read_as_empty(self):
         bd = construct_family(3)

@@ -35,15 +35,14 @@ from z2covers.characters import nontrivial_characters, nontrivial_elements
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.cover import (
     BuildingData,
-    EllipticFiber,
-    RationalFiber,
+    Fiber,
     SmoothnessReport,
     verify_relations,
     verify_smoothness,
 )
 from z2covers.curve_oracle import INFINITY, Assignment, CurveOverFp, find_assignment
 from z2covers.invariants import canonical_map_degree, compute_invariants
-from z2covers.picard import PointOnC, PointOnP1, SurfaceClass
+from z2covers.picard import SurfaceClass
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -165,17 +164,12 @@ def reference_dumps(bd):
 
 def relabel(bd, suffix):
     """The same data with ``suffix`` appended to every point label."""
-    points_c = {
-        label + suffix: PointOnC(label + suffix, point.aj) for label, point in bd.points_c.items()
+    points_c = {label + suffix: aj for label, aj in bd.points_c.items()}
+    points_p1 = tuple(label + suffix for label in bd.points_p1)
+    D = {
+        sigma: tuple(Fiber(fiber.kind, fiber.label + suffix) for fiber in fibers)
+        for sigma, fibers in bd.D.items()
     }
-
-    def component(comp):
-        if isinstance(comp, RationalFiber):
-            return RationalFiber(points_c[comp.label + suffix])
-        return EllipticFiber(PointOnP1(comp.label + suffix))
-
-    points_p1 = tuple(PointOnP1(point.label + suffix) for point in bd.points_p1)
-    D = {sigma: tuple(map(component, comps)) for sigma, comps in bd.D.items()}
     return BuildingData(bd.n, bd.group_spec, points_c, points_p1, bd.L, D)
 
 
@@ -195,13 +189,13 @@ def arbitrary_data(draw):
     def element():
         return spec.element(*dense_parts(draw, spec))
 
-    points_c = {f"P{i}": PointOnC(f"P{i}", element()) for i in range(draw(st.integers(0, 4)))}
-    points_p1 = tuple(PointOnP1(f"E{i}") for i in range(draw(st.integers(0, 2))))
+    points_c = {f"P{i}": element() for i in range(draw(st.integers(0, 4)))}
+    points_p1 = tuple(f"E{i}" for i in range(draw(st.integers(0, 2))))
     L = {
         chi: SurfaceClass(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), element())
         for chi in nontrivial_characters(n)
     }
-    pool = [RationalFiber(p) for p in points_c.values()] + [EllipticFiber(p) for p in points_p1]
+    pool = [Fiber("F", label) for label in points_c] + [Fiber("E", label) for label in points_p1]
     D = {}
     if pool:
         for sigma in nontrivial_elements(n):
@@ -463,9 +457,9 @@ def reference_smoothness(bd):
     reduced = all(x[1:] != y[1:] for x, y in pairs)
     nodes = [(x, y) for x, y in pairs if x[1] != y[1]]
     independent = all(x[0] != y[0] for x, y in nodes)
-    points = sorted(bd.points_c.values(), key=lambda p: p.label)
+    points = [bd.points_c[label] for label in sorted(bd.points_c)]
     injective = all(
-        points[i].aj != points[j].aj for i in range(len(points)) for j in range(i + 1, len(points))
+        points[i] != points[j] for i in range(len(points)) for j in range(i + 1, len(points))
     )
     return SmoothnessReport(reduced, reduced and injective, injective, independent)
 
@@ -480,12 +474,9 @@ def crowded_data(draw):
                      (draw(st.integers(0, 1)),))
         for _ in range(draw(st.integers(1, 3)))
     ]
-    points_c = {
-        f"F{i}": PointOnC(f"F{i}", draw(st.sampled_from(classes)))
-        for i in range(draw(st.integers(0, 6)))
-    }
-    points_p1 = tuple(PointOnP1(f"E{i}") for i in range(draw(st.integers(0, 3))))
-    pool = [RationalFiber(p) for p in points_c.values()] + [EllipticFiber(p) for p in points_p1]
+    points_c = {f"F{i}": draw(st.sampled_from(classes)) for i in range(draw(st.integers(0, 6)))}
+    points_p1 = tuple(f"E{i}" for i in range(draw(st.integers(0, 3))))
+    pool = [Fiber("F", label) for label in points_c] + [Fiber("E", label) for label in points_p1]
     D = {}
     if pool:
         for sigma in nontrivial_elements(n):
@@ -556,7 +547,7 @@ def reference_assignment(bd, curve, seed=0, attempts=400):
     )
     generator = next(pt for pt in curve.points() if has_order(curve, pt, d2))
     rng = random.Random(seed)
-    ajs = [pt.aj for pt in bd.points_c.values()]
+    ajs = list(bd.points_c.values())
     for _ in range(attempts):
         multipliers = [rng.randrange(1, d2) for _ in range(spec.rank)]
         assignment = Assignment(tuple(curve.scale(c, generator) for c in multipliers),

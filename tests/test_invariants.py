@@ -11,14 +11,14 @@ from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, CoverElement, nontrivial_characters
 from z2covers.construction import construct_etale, construct_family
 from z2covers import invariants
-from z2covers.cover import BuildingData, EllipticFiber, verify_relations, verify_smoothness
+from z2covers.cover import BuildingData, Fiber, verify_relations, verify_smoothness
 from z2covers.invariants import (
     canonical_map_degree,
     canonical_system,
     compute_invariants,
     minimality_evidence,
 )
-from z2covers.picard import PointOnP1, SurfaceClass, elliptic_fiber_class
+from z2covers.picard import SurfaceClass, elliptic_fiber_class
 
 
 def chi(s):
@@ -80,9 +80,9 @@ def two_contributor_variant():
     shifted characters only 010 gains sections.
     """
     bd = construct_family(3)
-    extra = (PointOnP1("E7"), PointOnP1("E8"))
+    extra = ("E7", "E8")
     d = dict(bd.D)
-    d[sigma("110")] = d[sigma("110")] + (EllipticFiber(extra[0]), EllipticFiber(extra[1]))
+    d[sigma("110")] = d[sigma("110")] + (Fiber("E", extra[0]), Fiber("E", extra[1]))
     e = elliptic_fiber_class(bd.group_spec)
     l = dict(bd.L)
     for name in ("100", "010", "101", "011"):
@@ -101,11 +101,11 @@ def single_contributor_with_ramification_correction():
     """
     spec = GroupSpec(0, (2, 2))
     t1, t2 = spec.torsion_generator(0), spec.torsion_generator(1)
-    fibers = tuple(PointOnP1(f"E{i}") for i in range(1, 11))
+    fibers = tuple(f"E{i}" for i in range(1, 11))
     branch = {
-        sigma("100"): tuple(EllipticFiber(p) for p in fibers[0:4]),
-        sigma("010"): tuple(EllipticFiber(p) for p in fibers[4:8]),
-        sigma("001"): tuple(EllipticFiber(p) for p in fibers[8:10]),
+        sigma("100"): tuple(Fiber("E", p) for p in fibers[0:4]),
+        sigma("010"): tuple(Fiber("E", p) for p in fibers[4:8]),
+        sigma("001"): tuple(Fiber("E", p) for p in fibers[8:10]),
     }
     L = {}
     for c in nontrivial_characters(3):
