@@ -68,9 +68,6 @@ def branch_class(
     return SurfaceClass(len(fibers) - len(points), len(points), spec.sum(points))
 
 
-_CURVE_OF_KIND = {"E": "rational-curve", "F": "elliptic-curve"}
-
-
 @dataclass(frozen=True)
 class BuildingData:
     """Candidate building data for a Z_2^n cover.
@@ -102,9 +99,12 @@ class BuildingData:
             if aj.spec != self.group_spec:
                 raise ValueError(f"point {label!r} lives in a different group model")
         points_p1 = tuple(self.points_p1)
-        registered = {"E": frozenset(points_p1), "F": points_c}
-        if len(registered["E"]) != len(points_p1):
+        if len(set(points_p1)) != len(points_p1):
             raise ValueError("duplicate labels among rational-curve points")
+        registered = {
+            "E": ("rational-curve", frozenset(points_p1)),
+            "F": ("elliptic-curve", points_c),
+        }
 
         L = dict(self.L)
         if set(L) != set(chars):
@@ -117,10 +117,10 @@ class BuildingData:
         if not set(self.D) <= set(sigmas):
             raise ValueError("branch divisors must be indexed by nontrivial group elements")
         for fiber in itertools.chain.from_iterable(D.values()):
-            curve = _CURVE_OF_KIND.get(fiber.kind)
+            curve, labels = registered.get(fiber.kind, (None, None))
             if curve is None:
                 raise ValueError(f"unknown component kind {fiber.kind!r}")
-            if fiber.label not in registered[fiber.kind]:
+            if fiber.label not in labels:
                 raise ValueError(f"component over unregistered {curve} point {fiber.label!r}")
 
         object.__setattr__(self, "points_c", MappingProxyType(points_c))
@@ -320,7 +320,9 @@ def derive_from_generators(
     chars = nontrivial_characters(3)
     basis = [chi for chi in chars if chi.mask.bit_count() == 1]
     zero = SurfaceClass.zero(group_spec)
-    # The shape is checked before any class is formed, with every L_chi zero.
+    # The shape is checked before any class is formed, with every L_chi zero;
+    # keys other than the nontrivial elements are dropped, not refused.
+    branch = {sigma: branch.get(sigma, ()) for sigma in nontrivial_elements(3)}
     draft = BuildingData(3, group_spec, points_c, points_p1, dict.fromkeys(chars, zero), branch)
     branch_classes = {sigma: draft.branch_class_of(sigma) for sigma in draft.elements}
     # With e the highest generator in chi, the row (chi.e, e) comes after

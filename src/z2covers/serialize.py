@@ -191,9 +191,12 @@ def building_data_from_dict(doc: Any) -> BuildingData:
         def fiber(ref: Any) -> Fiber:
             ref = _object(ref, "branch component", _COMPONENT_KEYS)
             kind, label = ref["kind"], ref["label"]
-            # BuildingData refuses both too; a file reports them as format errors, in these words.
+            # BuildingData refuses an unknown kind and an unknown F point too;
+            # a file reports them as format errors, in these words.
             if kind not in ("E", "F"):
                 raise FormatError(f"unknown component kind {kind!r}")
+            if type(label) is not str:
+                raise FormatError("branch component labels must be JSON strings")
             if kind == "F" and label not in points_c:
                 raise FormatError(f"branch component over unknown point {label!r}")
             return Fiber(kind, label)

@@ -186,6 +186,21 @@ class TestDeriveFromGenerators:
         assert dict(derived.L) == dict(bd.L)
         assert verify_relations(derived).ok
 
+    def test_branch_keys_outside_the_nontrivial_elements_are_dropped(self):
+        bd = construct_family(3)
+        stray = (Fiber("E", "E1"),)
+        branch = {**bd.D, sigma("000"): stray, sigma("10"): stray}
+        derived = derive_from_generators(
+            bd.L[chi("100")],
+            bd.L[chi("010")],
+            bd.L[chi("001")],
+            branch,
+            group_spec=bd.group_spec,
+            points_c=dict(bd.points_c),
+            points_p1=bd.points_p1,
+        )
+        assert derived == bd
+
     def test_missing_branch_breaks_a_diagonal(self):
         bd = construct_family(3)
         d = dict(bd.D)

@@ -79,6 +79,15 @@ def test_component_over_unknown_point_rejected():
         building_data_from_dict(doc)
 
 
+@pytest.mark.parametrize("kind", ["E", "F"])
+@pytest.mark.parametrize("label", [["E1"], 1, None], ids=["list", "int", "null"])
+def test_non_string_component_label_rejected(kind, label):
+    doc = building_data_to_dict(construct_family(3))
+    doc["D"]["100"][0] = {"kind": kind, "label": label}
+    with pytest.raises(FormatError, match="^branch component labels must be JSON strings$"):
+        loads(json.dumps(doc))
+
+
 def test_mixed_character_lengths_rejected():
     doc = building_data_to_dict(construct_family(3))
     doc["L"]["10"] = doc["L"]["100"]
