@@ -28,11 +28,9 @@ print(f"parse -> emit is byte-identical: {dumps(again) == text}")
 print(f"parsed data verifies: {verify_relations(again).ok}")
 
 # the three generator classes and the branch divisors pin down everything
-chi = Character.from_string
+generators = {chi: bd.L[chi] for chi in map(Character.from_string, ("100", "010", "001"))}
 derived = derive_from_generators(
-    bd.L[chi("100")],
-    bd.L[chi("010")],
-    bd.L[chi("001")],
+    generators,
     dict(bd.D),
     group_spec=bd.group_spec,
     points_c=dict(bd.points_c),

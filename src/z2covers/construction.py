@@ -108,7 +108,7 @@ def construct_family(n: int, halving_choice: Sequence[int] | None = None) -> Bui
         ),
     }
 
-    return BuildingData(3, spec, points_c, points_p1, L, D)
+    return BuildingData(spec, points_c, points_p1, L, D)
 
 
 def construct_etale(n: int = 3) -> BuildingData:
@@ -123,7 +123,7 @@ def construct_etale(n: int = 3) -> BuildingData:
         chi: SurfaceClass(0, 0, spec.element((), chi.bits))
         for chi in nontrivial_characters(n)
     }
-    return BuildingData(n, spec, {}, (), L, {})
+    return BuildingData(spec, {}, (), L, {})
 
 
 def single_torsion_mutations(

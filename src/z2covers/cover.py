@@ -16,6 +16,7 @@ the "diagonal" relations.
 :func:`relations` is the single source of these relations, one row per
 pair; every consumer (the verifier, the generator completion, the family's
 relations table, the curve oracle) evaluates those rows in its own arithmetic.
+:class:`BuildingData`, n read from its characters, is the one gate for shape.
 
 Branch components here are always whole fibers of one of the two rulings,
 held as the file holds them: a :class:`Fiber` of kind "E" or "F" and the
@@ -70,20 +71,18 @@ def branch_class(
 
 @dataclass(frozen=True)
 class BuildingData:
-    """Candidate building data for a Z_2^n cover.
+    """Candidate building data for a Z_2^n cover, n in 1..8 read from L as ``n``.
 
-    ``n`` is the number of Z_2 factors of the covering group.  ``points_c``
-    maps the label of every named point of the elliptic curve to its
-    degree-zero class, and ``points_p1`` lists the labels of the named points
-    of the rational curve, including points that appear only through the
-    classes L_chi and not in any branch divisor.  Construction validates
-    shape only (all nontrivial characters present, every fiber over a point
-    registered for its kind, one group model throughout); whether the data
-    actually defines a smooth cover is the verifiers' business, and they
-    report rather than raise.
+    ``points_c`` maps the label of every named point of the elliptic curve to
+    its degree-zero class, and ``points_p1`` lists the labels of the named
+    points of the rational curve, including points that appear only through
+    the classes L_chi.  Construction validates shape only, with ValueError (L
+    keyed by exactly the nontrivial characters of one Z_2^n, every fiber of
+    kind "E" or "F" over a point registered for its kind, one group model
+    throughout); whether the data defines a smooth cover is the verifiers'
+    business, and they report rather than raise.
     """
 
-    n: int
     group_spec: GroupSpec
     points_c: Mapping[str, GroupElement]
     points_p1: tuple[str, ...]
@@ -91,8 +90,14 @@ class BuildingData:
     D: Mapping[CoverElement, tuple[Fiber, ...]]
 
     def __post_init__(self) -> None:
-        chars = nontrivial_characters(self.n)
-        sigmas = nontrivial_elements(self.n)
+        L = dict(self.L)
+        if not all(isinstance(chi, Character) for chi in L):
+            raise ValueError("L must be keyed by characters")
+        lengths = {chi.n for chi in L}
+        if len(lengths) != 1:
+            raise ValueError("characters of mixed bit length" if L else "no characters present")
+        (n,) = lengths
+        chars, sigmas = nontrivial_characters(n), nontrivial_elements(n)
 
         points_c = dict(self.points_c)
         for label, aj in points_c.items():
@@ -106,7 +111,6 @@ class BuildingData:
             "F": ("elliptic-curve", points_c),
         }
 
-        L = dict(self.L)
         if set(L) != set(chars):
             raise ValueError("need a class L_chi for exactly the nontrivial characters")
         for chi, cls in L.items():
@@ -117,9 +121,9 @@ class BuildingData:
         if not set(self.D) <= set(sigmas):
             raise ValueError("branch divisors must be indexed by nontrivial group elements")
         for fiber in itertools.chain.from_iterable(D.values()):
-            curve, labels = registered.get(fiber.kind, (None, None))
-            if curve is None:
+            if fiber.kind not in ("E", "F"):  # compared, not hashed: a kind from JSON may be a list
                 raise ValueError(f"unknown component kind {fiber.kind!r}")
+            curve, labels = registered[fiber.kind]
             if fiber.label not in labels:
                 raise ValueError(f"component over unregistered {curve} point {fiber.label!r}")
 
@@ -127,6 +131,10 @@ class BuildingData:
         object.__setattr__(self, "points_p1", points_p1)
         object.__setattr__(self, "L", MappingProxyType(L))
         object.__setattr__(self, "D", MappingProxyType(D))
+
+    @property
+    def n(self) -> int:
+        return next(iter(self.L)).n
 
     @property
     def characters(self) -> tuple[Character, ...]:
@@ -296,16 +304,14 @@ class ConsistencyError(ValueError):
 
 
 def derive_from_generators(
-    l100: SurfaceClass,
-    l010: SurfaceClass,
-    l001: SurfaceClass,
+    generators: Mapping[Character, SurfaceClass],
     branch: Mapping[CoverElement, Sequence[Fiber]],
     *,
     group_spec: GroupSpec,
     points_c: Mapping[str, GroupElement] = (),
     points_p1: Sequence[str] = (),
 ) -> BuildingData:
-    """Complete the three generator classes of a Z_2^3 cover to full data.
+    """Complete ``generators``, the k weight-one classes (k in 1..8), to full data.
 
     Every other class is forced by the relation of chi.e with e, for a
     generator e in chi:
@@ -317,18 +323,20 @@ def derive_from_generators(
     if the diagonal relation 2 L_e == sum of D_sigma over e(sigma) = -1
     fails for a generator character e, or if any residual relation fails.
     """
-    chars = nontrivial_characters(3)
-    basis = [chi for chi in chars if chi.mask.bit_count() == 1]
+    k = len(generators)
+    chars = nontrivial_characters(k)  # a ValueError unless 1 <= k <= 8
+    if set(generators) != {chi for chi in chars if chi.mask.bit_count() == 1}:
+        raise ValueError(f"need the classes of exactly the {k} weight-one characters of Z_2^{k}")
     zero = SurfaceClass.zero(group_spec)
     # The shape is checked before any class is formed, with every L_chi zero;
     # keys other than the nontrivial elements are dropped, not refused.
-    branch = {sigma: branch.get(sigma, ()) for sigma in nontrivial_elements(3)}
-    draft = BuildingData(3, group_spec, points_c, points_p1, dict.fromkeys(chars, zero), branch)
+    branch = {sigma: branch.get(sigma, ()) for sigma in nontrivial_elements(k)}
+    draft = BuildingData(group_spec, points_c, points_p1, dict.fromkeys(chars, zero), branch)
     branch_classes = {sigma: draft.branch_class_of(sigma) for sigma in draft.elements}
     # With e the highest generator in chi, the row (chi.e, e) comes after
     # every row that completes chi.e, so one pass in table order suffices.
-    L = dict(zip(basis, (l001, l010, l100)))
-    for r in relations(3):
+    L = dict(generators)
+    for r in relations(k):
         completes = r.chi in L and r.chi_prime.mask.bit_count() == 1 and r.product is not None
         if completes and r.product not in L:
             L[r.product] = L[r.chi] + L[r.chi_prime] - r.branch_sum(branch_classes, zero)

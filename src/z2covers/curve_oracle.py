@@ -315,13 +315,15 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
 def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     """Search for generator images that make the realization faithful.
 
-    Torsion generators are mapped to points of exactly matching order with
-    the model's 2-torsion embedded faithfully.  Only the images of even-order
+    Torsion generators are mapped to points of exactly matching order with the
+    model's 2-torsion embedded faithfully.  Only the images of even-order
     generators are searched: an odd-order generator takes the first point of
     its order, since odd factors never meet the 2-torsion, and a model with
-    more 2-torsion than the curve is refused before any search.  Free
-    generators are mapped to multiples of a point of maximal order, the
-    multipliers drawn from ``random.Random(0)``.  The first of
+    more 2-torsion than the curve is refused before any search.  So only the
+    2-torsion is embedded faithfully: data broken by odd torsion alone, such
+    as t3 - t4 of two order-3 generators (both map to one point), is refused,
+    not judged.  Free generators are mapped to multiples of a point of maximal
+    order, the multipliers drawn from ``random.Random(0)``.  The first of
     :data:`ATTEMPTS` draws that is certified is accepted: the registered
     points have distinct images, and the degree-zero difference of each
     relation the model finds broken (with equal E-coefficients and degrees)

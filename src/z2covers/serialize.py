@@ -22,7 +22,8 @@ every object must carry exactly its keys, each of them once; rank, torsion
 orders, a, degree, free and tors entries must be JSON integers; and no
 float, NaN or Infinity is accepted anywhere.  A file that cannot be read,
 is not UTF-8, or has integers or nesting beyond what ``json.loads`` takes
-is a FormatError too.
+is a FormatError too.  Beyond this JSON shape the data is checked once, by
+:class:`BuildingData`, and its ValueError reads "malformed building data: ...".
 
 :func:`dumps` writes the canonical text itself, byte for byte what
 ``json.dumps(doc, sort_keys=True, indent=2)`` writes; :func:`canonical_json`
@@ -181,31 +182,18 @@ def building_data_from_dict(doc: Any) -> BuildingData:
             Character.from_string(key): surface_class_from_dict(entry, spec)
             for key, entry in _object(doc["L"], "L").items()
         }
-        if not L:
-            raise FormatError("no characters present")
-        lengths = {chi.n for chi in L}
-        if len(lengths) != 1:
-            raise FormatError("characters of mixed bit length")
-        (n,) = lengths
 
         def fiber(ref: Any) -> Fiber:
             ref = _object(ref, "branch component", _COMPONENT_KEYS)
-            kind, label = ref["kind"], ref["label"]
-            # BuildingData refuses an unknown kind and an unknown F point too;
-            # a file reports them as format errors, in these words.
-            if kind not in ("E", "F"):
-                raise FormatError(f"unknown component kind {kind!r}")
-            if type(label) is not str:
+            if type(ref["label"]) is not str:
                 raise FormatError("branch component labels must be JSON strings")
-            if kind == "F" and label not in points_c:
-                raise FormatError(f"branch component over unknown point {label!r}")
-            return Fiber(kind, label)
+            return Fiber(ref["kind"], ref["label"])
 
         D = {
             CoverElement.from_string(key): tuple(map(fiber, _array(refs, f"D[{key!r}]")))
             for key, refs in _object(doc["D"], "D").items()
         }
-        return BuildingData(n, spec, points_c, points_p1, L, D)
+        return BuildingData(spec, points_c, points_p1, L, D)
     except FormatError:
         raise
     except (TypeError, KeyError, ValueError, AttributeError) as exc:

@@ -166,7 +166,7 @@ class TestVerify:
         # y^2 = x^3 + 2x + 2 has no affine point over F_3: its group is {O}.
         spec = GroupSpec(1)
         only = nontrivial_characters(1)[0]
-        bd = BuildingData(1, spec, {}, (), {only: SurfaceClass(0, 0, spec.free_generator(0))}, {})
+        bd = BuildingData(spec, {}, (), {only: SurfaceClass(0, 0, spec.free_generator(0))}, {})
         path = tmp_path / "rank1.bd.json"
         path.write_text(dumps(bd))
         flags = ["--oracle", "--oracle-prime", "3", "--oracle-a", "2", "--oracle-b", "2"]

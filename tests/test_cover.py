@@ -9,7 +9,7 @@ import pytest
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, CoverElement, nontrivial_characters, nontrivial_elements
 from z2covers.cli import main
-from z2covers.construction import construct_family
+from z2covers.construction import construct_etale, construct_family
 from z2covers.cover import (
     BuildingData,
     ConsistencyError,
@@ -29,6 +29,11 @@ def chi(s):
 
 def sigma(s):
     return CoverElement.from_string(s)
+
+
+def generators(bd):
+    """The classes of the weight-one characters, the mapping completion takes."""
+    return {c: bd.L[c] for c in bd.characters if c.mask.bit_count() == 1}
 
 
 def torsion_shift(bd, character, t):
@@ -78,7 +83,7 @@ class TestVerifyRelations:
     def test_unbalanced_diagonals_fail(self):
         spec = GroupSpec(0, (2, 2))
         same = SurfaceClass(1, 1, spec.zero())
-        bd = BuildingData(3, spec, {}, (), {c: same for c in nontrivial_characters(3)}, {})
+        bd = BuildingData(spec, {}, (), {c: same for c in nontrivial_characters(3)}, {})
         report = verify_relations(bd)
         assert not report.ok
         assert report.failures
@@ -90,7 +95,7 @@ class TestVerifyRelations:
             for c in nontrivial_characters(3)
         }
         L[chi("111")] = SurfaceClass.zero(spec)
-        report = verify_relations(BuildingData(3, spec, {}, (), L, {}))
+        report = verify_relations(BuildingData(spec, {}, (), L, {}))
         assert not report.ok
         assert report.trivial_characters == (chi("111"),)
 
@@ -117,7 +122,7 @@ def nodal_double_cover():
     L = {chi("1"): SurfaceClass(1, 1, g)}
     fibers = [Fiber("E", "E1"), Fiber("E", "E2"), Fiber("F", "P"), Fiber("F", "Q")]
     D = {sigma("1"): tuple(fibers)}
-    return BuildingData(1, spec, points_c, points_p1, L, D)
+    return BuildingData(spec, points_c, points_p1, L, D)
 
 
 class TestVerifySmoothness:
@@ -165,7 +170,7 @@ class TestVerifySmoothness:
         p = spec.free_generator(0)
         points = {"P": p, "Q": p}
         L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
-        report = verify_smoothness(BuildingData(3, spec, points, (), L, {}))
+        report = verify_smoothness(BuildingData(spec, points, (), L, {}))
         assert not report.injective_points
         assert not report.snc
         assert report.reduced
@@ -175,9 +180,7 @@ class TestDeriveFromGenerators:
     def test_family_generators_recover_the_full_table(self):
         bd = construct_family(3)
         derived = derive_from_generators(
-            bd.L[chi("100")],
-            bd.L[chi("010")],
-            bd.L[chi("001")],
+            generators(bd),
             dict(bd.D),
             group_spec=bd.group_spec,
             points_c=dict(bd.points_c),
@@ -191,9 +194,7 @@ class TestDeriveFromGenerators:
         stray = (Fiber("E", "E1"),)
         branch = {**bd.D, sigma("000"): stray, sigma("10"): stray}
         derived = derive_from_generators(
-            bd.L[chi("100")],
-            bd.L[chi("010")],
-            bd.L[chi("001")],
+            generators(bd),
             branch,
             group_spec=bd.group_spec,
             points_c=dict(bd.points_c),
@@ -207,9 +208,7 @@ class TestDeriveFromGenerators:
         d[sigma("111")] = ()
         with pytest.raises(ConsistencyError) as info:
             derive_from_generators(
-                bd.L[chi("100")],
-                bd.L[chi("010")],
-                bd.L[chi("001")],
+                generators(bd),
                 d,
                 group_spec=bd.group_spec,
                 points_c=dict(bd.points_c),
@@ -234,9 +233,11 @@ class TestDeriveFromGenerators:
         for alpha, beta, gamma in itertools.product(spec.elements(), repeat=3):
             try:
                 bd = derive_from_generators(
-                    SurfaceClass(4, 0, alpha),
-                    SurfaceClass(2, 0, beta),
-                    SurfaceClass(2, 0, gamma),
+                    {
+                        chi("100"): SurfaceClass(4, 0, alpha),
+                        chi("010"): SurfaceClass(2, 0, beta),
+                        chi("001"): SurfaceClass(2, 0, gamma),
+                    },
                     branch,
                     group_spec=spec,
                     points_p1=p1,
@@ -247,6 +248,48 @@ class TestDeriveFromGenerators:
         assert len(found) == 64
         for bd in found:
             assert verify_relations(bd).ok
+
+    @pytest.mark.parametrize(
+        "bd",
+        [construct_etale(k) for k in range(1, 6)] + [construct_family(n) for n in (2, 3, 8)],
+        ids=[f"etale-{k}" for k in range(1, 6)] + [f"family-{n}" for n in (2, 3, 8)],
+    )
+    def test_completion_rebuilds_every_class_for_any_k(self, bd):
+        derived = derive_from_generators(
+            generators(bd),
+            dict(bd.D),
+            group_spec=bd.group_spec,
+            points_c=dict(bd.points_c),
+            points_p1=bd.points_p1,
+        )
+        assert derived.n == bd.n
+        assert dict(derived.L) == dict(bd.L)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            (),
+            ("100", "010"),
+            ("100", "010", "011"),
+            ("100", "010", "001", "110"),
+            ("1000", "0100", "0010"),
+            ("10", "010", "001"),
+            tuple(str(c) for c in nontrivial_characters(4)[:9]),  # k = 9 > 8
+        ],
+        ids=["none", "one-missing", "weight-two", "one-extra", "of-a-larger-group", "mixed", "nine"],
+    )
+    def test_generators_must_be_the_weight_one_characters_of_one_group(self, keys):
+        spec = GroupSpec(0, (2, 2))
+        classes = {chi(k): SurfaceClass(2, 0, spec.zero()) for k in keys}
+        with pytest.raises(ValueError, match="weight-one|between 1 and 8"):
+            derive_from_generators(classes, {}, group_spec=spec)
+
+    @pytest.mark.parametrize("key", [str, sigma], ids=["string", "CoverElement"])
+    def test_generators_keyed_by_anything_but_characters_are_refused(self, key):
+        bd = construct_etale(3)
+        by_other = {key(str(c)): cls for c, cls in generators(bd).items()}
+        with pytest.raises(ValueError):
+            derive_from_generators(by_other, {}, group_spec=bd.group_spec)
 
 
 def _invertible_mod2_matrices():
@@ -293,7 +336,7 @@ class TestStructuralProperties:
                 CoverElement(_matvec(m, s.bits)): bd.D[s] for s in bd.elements
             }
             relabeled = BuildingData(
-                3, bd.group_spec, dict(bd.points_c), bd.points_p1, relabeled_l, relabeled_d
+                bd.group_spec, dict(bd.points_c), bd.points_p1, relabeled_l, relabeled_d
             )
             assert verify_relations(relabeled).ok
 
@@ -309,29 +352,35 @@ class TestBuildingDataShape:
         spec = GroupSpec(0, (2, 2))
         L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)[:-1]}
         with pytest.raises(ValueError):
-            BuildingData(3, spec, {}, (), L, {})
+            BuildingData(spec, {}, (), L, {})
 
     def test_component_over_unregistered_point_rejected(self):
         spec = GroupSpec(1, (2, 2))
         L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
         stray = Fiber("F", "ghost")
         with pytest.raises(ValueError):
-            BuildingData(3, spec, {}, (), L, {sigma("100"): (stray,)})
+            BuildingData(spec, {}, (), L, {sigma("100"): (stray,)})
 
     @pytest.mark.parametrize(
         "fiber,message",
         [
-            (Fiber("F", "E1"), "branch component over unknown point 'E1'"),
+            (
+                Fiber("F", "E1"),
+                "malformed building data: component over unregistered elliptic-curve point 'E1'",
+            ),
             (
                 Fiber("E", "F1"),
                 "malformed building data: component over unregistered rational-curve point 'F1'",
             ),
-            (Fiber("X", "E1"), "unknown component kind 'X'"),
+            (Fiber("X", "E1"), "malformed building data: unknown component kind 'X'"),
             (
                 Fiber("E", "ghost"),
                 "malformed building data: component over unregistered rational-curve point 'ghost'",
             ),
-            (Fiber("F", "ghost"), "branch component over unknown point 'ghost'"),
+            (
+                Fiber("F", "ghost"),
+                "malformed building data: component over unregistered elliptic-curve point 'ghost'",
+            ),
         ],
         ids=["F-over-a-P1-point", "E-over-a-C-point", "unknown-kind", "E-nowhere", "F-nowhere"],
     )
@@ -350,6 +399,36 @@ class TestBuildingDataShape:
         assert main(["verify", str(path)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "keys,message",
+        [
+            ((), "no characters present"),
+            (("100", "010", "001", "110", "101", "011", "111", "10"), "characters of mixed bit length"),
+        ],
+        ids=["empty", "mixed-length"],
+    )
+    def test_the_characters_fix_n_or_are_refused(self, keys, message, tmp_path, capsys):
+        bd = construct_family(2)
+        zero = SurfaceClass.zero(bd.group_spec)
+        with pytest.raises(ValueError, match=message):
+            BuildingData(bd.group_spec, {}, (), {chi(k): zero for k in keys}, {})
+        doc = building_data_to_dict(bd)
+        doc["L"] = {k: doc["L"]["100"] for k in keys}
+        path = tmp_path / "characters.bd.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: malformed building data: {message}\n"
+
+    @pytest.mark.parametrize("key", [str, sigma], ids=["string", "CoverElement"])
+    def test_classes_keyed_by_anything_but_characters_are_refused(self, key):
+        bd = construct_etale(3)
+        with pytest.raises(ValueError, match="keyed by characters"):
+            BuildingData(bd.group_spec, {}, (), {key(str(c)): cls for c, cls in bd.L.items()}, {})
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    def test_n_is_read_from_the_characters(self, k):
+        assert construct_etale(k).n == k
+
     def test_missing_branch_indices_read_as_empty(self):
         bd = construct_family(3)
         assert bd.branch(sigma("010")) == ()
@@ -361,4 +440,4 @@ class TestBuildingDataShape:
         L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
         L[chi("111")] = SurfaceClass(1, 0, other.zero())
         with pytest.raises(ValueError):
-            BuildingData(3, spec, {}, (), L, {})
+            BuildingData(spec, {}, (), L, {})

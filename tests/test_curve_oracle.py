@@ -11,6 +11,7 @@ import pytest
 from z2covers import curve_oracle
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, nontrivial_characters
+from z2covers.cli import main
 from z2covers.construction import construct_family, single_torsion_mutations
 from z2covers.cover import BuildingData, verify_relations
 from z2covers.curve_oracle import (
@@ -23,6 +24,7 @@ from z2covers.curve_oracle import (
     realize,
 )
 from z2covers.picard import SurfaceClass
+from z2covers.serialize import dumps
 
 
 def naive_point_count(p, a, b):
@@ -289,7 +291,7 @@ def etale_with(n, extra):
         chi: SurfaceClass(0, 0, spec.element((), chi.bits + (0,) * len(extra)))
         for chi in nontrivial_characters(n)
     }
-    return BuildingData(n, spec, {}, (), L, {})
+    return BuildingData(spec, {}, (), L, {})
 
 
 class TestTorsionSearch:
@@ -357,3 +359,46 @@ class TestTorsionSearch:
             )
         )
         assert find_assignment(bd, self.curve).torsion_points == first
+
+
+def odd_torsion_family():
+    """Family n = 2 over Z^5 + Z/2 + Z/2 + Z/3 + Z/3, with F1, F1' shifted by
+    +-t3 and F2, F2' by +-t4, so each F_i + F_i' and every relation stay as
+    they were."""
+    bd = construct_family(2)
+    spec = GroupSpec(5, (2, 2, 3, 3))
+    t3, t4 = spec.torsion_generator(2), spec.torsion_generator(3)
+
+    def lift(x):
+        return spec.element(x.free, x.tors + (0, 0))
+
+    shift = {"F1": t3, "F1'": -t3, "F2": t4, "F2'": -t4}
+    points_c = {label: lift(x) + shift.get(label, spec.zero()) for label, x in bd.points_c.items()}
+    L = {chi: SurfaceClass(cls.a, cls.degree, lift(cls.pic0)) for chi, cls in bd.L.items()}
+    return BuildingData(spec, points_c, bd.points_p1, L, bd.D)
+
+
+class TestOddTorsion:
+    """Only the 2-torsion of the model is embedded faithfully: both order-3
+    generators take the first point of order 3, so t3 - t4 maps to O.  A
+    relation broken by t3 - t4 alone cannot be certified broken on the curve,
+    and the oracle refuses the data instead of judging it."""
+
+    curve = ["--oracle", "--oracle-prime", "1021", "--oracle-a", "0", "--oracle-b", "1"]
+
+    def verify(self, bd, tmp_path):
+        path = tmp_path / "odd.bd.json"
+        path.write_text(dumps(bd))
+        return main(["verify", str(path), *self.curve])
+
+    def test_the_accepted_data_passes_the_oracle(self, tmp_path, capsys):
+        assert self.verify(odd_torsion_family(), tmp_path) == 0
+        assert "oracle: curve order 1008, factors [12, 84], ok" in capsys.readouterr().out
+
+    def test_a_break_by_odd_torsion_alone_never_passes(self, tmp_path, capsys):
+        bd = odd_torsion_family()
+        t3, t4 = bd.group_spec.torsion_generator(2), bd.group_spec.torsion_generator(3)
+        L = dict(bd.L)
+        L[Character.from_string("110")] += SurfaceClass(0, 0, t3 - t4)
+        assert self.verify(replace(bd, L=L), tmp_path) != 0
+        assert "relations: FAIL" in capsys.readouterr().out

@@ -170,7 +170,7 @@ def relabel(bd, suffix):
         sigma: tuple(Fiber(fiber.kind, fiber.label + suffix) for fiber in fibers)
         for sigma, fibers in bd.D.items()
     }
-    return BuildingData(bd.n, bd.group_spec, points_c, points_p1, bd.L, D)
+    return BuildingData(bd.group_spec, points_c, points_p1, bd.L, D)
 
 
 # Quotes, backslashes, control and non-ASCII characters all need escaping.
@@ -200,7 +200,7 @@ def arbitrary_data(draw):
     if pool:
         for sigma in nontrivial_elements(n):
             D[sigma] = tuple(draw(st.lists(st.sampled_from(pool), max_size=2)))
-    return BuildingData(n, spec, points_c, points_p1, L, D)
+    return BuildingData(spec, points_c, points_p1, L, D)
 
 
 @st.composite
@@ -482,7 +482,7 @@ def crowded_data(draw):
         for sigma in nontrivial_elements(n):
             D[sigma] = tuple(draw(st.lists(st.sampled_from(pool), max_size=3)))
     L = {chi: SurfaceClass(1, 0, spec.zero()) for chi in nontrivial_characters(n)}
-    return BuildingData(n, spec, points_c, points_p1, L, D)
+    return BuildingData(spec, points_c, points_p1, L, D)
 
 
 @settings(max_examples=200, deadline=None)

@@ -112,7 +112,7 @@ def single_contributor_with_ramification_correction():
         a = 2 * c.bits[0] + 2 * c.bits[1] + c.bits[2]
         torsion = c.bits[0] * t1 + c.bits[1] * t1 + c.bits[2] * t2
         L[c] = SurfaceClass(a, 0, torsion)
-    return BuildingData(3, spec, {}, fibers, L, branch)
+    return BuildingData(spec, {}, fibers, L, branch)
 
 
 class TestCanonicalSystem:
@@ -186,6 +186,18 @@ class TestCanonicalMapDegree:
         inv = compute_invariants(construct_family(n))
         report = canonical_map_degree(construct_family(n))
         assert report.degree * report.image_degree == inv.k_squared
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_the_image_has_minimal_degree_only_at_n_two(self, n):
+        """A nondegenerate surface in P^(p_g - 1) has degree at least p_g - 2,
+        with equality for the surfaces of minimal degree.  The family's image
+        reaches it only at n = 2, the quadric: for n >= 3 it has degree 2n
+        against 2n - 2."""
+        bd = construct_family(n)
+        image_degree = canonical_map_degree(bd).image_degree
+        bound = compute_invariants(bd).p_g - 2
+        assert (image_degree == bound) == (n == 2)
+        assert (image_degree, bound) == ((2, 2) if n == 2 else (2 * n, 2 * n - 2))
 
 
 class TestHalvingChoiceInvariance:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_cover import generators
 from z2covers import characters, cover
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import nontrivial_characters, nontrivial_elements, pair
@@ -19,8 +20,10 @@ from z2covers.cli import verify_report
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.cover import (
     BuildingData,
+    ConsistencyError,
     Fiber,
     branch_class,
+    derive_from_generators,
     relations,
     verify_relations,
 )
@@ -215,7 +218,7 @@ def building_data(draw):
         chi = draw(st.sampled_from(nontrivial_characters(n)))
         shift = draw(st.sampled_from([t for t in two_torsion if not t.is_zero()]))
         L[chi] = L[chi] + SurfaceClass(0, 0, shift)
-    return BuildingData(n, spec, points_c, tuple(points_p1), L, D), shifted
+    return BuildingData(spec, points_c, tuple(points_p1), L, D), shifted
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,6 +227,26 @@ def test_verify_relations_matches_the_all_pairs_reference(case):
     bd, shifted = case
     assert_matches_reference(bd)
     assert bool(verify_relations(bd).failures) == shifted
+
+
+@settings(max_examples=150, deadline=None)
+@given(building_data())
+def test_completion_rebuilds_exactly_the_accepted_data(case):
+    """The weight-one classes and D give back every class of an accepted datum;
+    a shifted datum either fails to complete or completes to other classes."""
+    bd, _ = case
+    try:
+        derived = derive_from_generators(
+            generators(bd),
+            dict(bd.D),
+            group_spec=bd.group_spec,
+            points_c=dict(bd.points_c),
+            points_p1=bd.points_p1,
+        )
+        rebuilt = dict(derived.L) == dict(bd.L)
+    except ConsistencyError:
+        rebuilt = False
+    assert rebuilt == verify_relations(bd).ok
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
