@@ -11,9 +11,10 @@ audits.
 
 Free generators of the abstract model cannot map to infinite-order points
 over a finite field, so a map to the curve may send a nonzero combination
-to O.  :func:`find_assignment` accepts a placement only when it is certified
-on what the oracle evaluates: the registered points keep distinct images,
-and every relation the model finds broken stays broken on the curve.
+to O.  :func:`find_assignment` accepts a placement only when
+:func:`realize`, the one evaluation of a placement on the curve, keeps the
+registered points apart and fails every relation the model fails; points
+the model itself merges are refused before any draw.
 """
 
 from __future__ import annotations
@@ -243,18 +244,14 @@ def _torsion_faithful(curve: CurveOverFp, bd: BuildingData, assignment: Assignme
     )
 
 
-def _point_images(
-    curve: CurveOverFp, bd: BuildingData, assignment: Assignment
-) -> tuple[dict[str, CurvePoint], tuple[tuple[str, str], ...]]:
-    """Each registered point's image by label, and the sorted pairs of labels
-    that share an image, from one pass that groups the labels by image."""
-    images: dict[str, CurvePoint] = {}
-    by_image: dict[CurvePoint, list[str]] = {}
-    for label in sorted(bd.points_c):
-        images[label] = point = _image(curve, assignment, bd.points_c[label])
-        by_image.setdefault(point, []).append(label)
-    pairs = (pair for labels in by_image.values() for pair in itertools.combinations(labels, 2))
-    return images, tuple(sorted(pairs))
+def _shared_pairs(keys: dict[str, object]) -> tuple[tuple[str, str], ...]:
+    """The sorted pairs of labels that share a key, from one pass that groups
+    the labels by key."""
+    by_key: dict[object, list[str]] = {}
+    for label in sorted(keys):
+        by_key.setdefault(keys[label], []).append(label)
+    pairs = (pair for labels in by_key.values() for pair in itertools.combinations(labels, 2))
+    return tuple(sorted(pairs))
 
 
 def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> RealizationReport:
@@ -280,7 +277,8 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
             )
 
     torsion_faithful = _torsion_faithful(curve, bd, assignment)
-    realized, collisions = _point_images(curve, bd, assignment)
+    realized = {label: _image(curve, assignment, x) for label, x in bd.points_c.items()}
+    collisions = _shared_pairs(realized)
 
     # (E-coefficient, degree, point) triples: each class and branch component
     # is mapped on its own, never a sum formed in the group model.
@@ -324,10 +322,10 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     as t3 - t4 of two order-3 generators (both map to one point), is refused,
     not judged.  Free generators are mapped to multiples of a point of maximal
     order, the multipliers drawn from ``random.Random(0)``.  The first of
-    :data:`ATTEMPTS` draws that is certified is accepted: the registered
-    points have distinct images, and the degree-zero difference of each
-    relation the model finds broken (with equal E-coefficients and degrees)
-    maps to a point other than O, so the curve cannot mend it.
+    :data:`ATTEMPTS` draws whose :func:`realize` report is injective and fails
+    every relation the model fails is accepted, so the curve mends none; one
+    only the curve fails still reaches the report.  Two registered points of
+    one class in the model are refused before any draw: no curve parts them.
     """
     spec = bd.group_spec
     _, (_, d2) = curve.group_structure()
@@ -349,20 +347,20 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     if torsion_points is None:
         raise ValueError(refusal)
 
-    broken = [
-        f.lhs.pic0 - f.rhs.pic0
-        for f in verify_relations(bd).failures
-        if (f.lhs.a, f.lhs.degree) == (f.rhs.a, f.rhs.degree)
-    ]
     if d2 == 1 and spec.rank:
         raise ValueError("curve has only the point O, so free generators have no image")
+    merged = _shared_pairs(bd.points_c)
+    if merged:
+        raise ValueError("points {!r} and {!r} share one class in the model, so no curve "
+                         "keeps them apart".format(*merged[0]))
+    failed = {(f.chi, f.chi_prime) for f in verify_relations(bd).failures}
     generator = next(pt for pt in curve.points() if curve.point_order(pt) == d2)
     rng = random.Random(0)
     for _ in range(ATTEMPTS):
         multipliers = [rng.randrange(1, d2) for _ in range(spec.rank)]
-        free_points = tuple(curve.scale(c, generator) for c in multipliers)
-        assignment = Assignment(free_points, torsion_points)
-        _, collisions = _point_images(curve, bd, assignment)
-        if not collisions and not any(_image(curve, assignment, x).is_infinity for x in broken):
+        assignment = Assignment(tuple(curve.scale(c, generator) for c in multipliers),
+                                torsion_points)
+        report = realize(bd, curve, assignment)
+        if report.injective and failed <= set(report.relation_failures):
             return assignment
     raise ValueError(f"no faithful assignment found in {ATTEMPTS} attempts")

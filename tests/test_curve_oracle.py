@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -282,6 +283,54 @@ class TestSoundness:
         assert not script and assignment != masking
         report = realize(mutant, curve, assignment)
         assert report.relation_failures == model_failures(mutant) and not report.ok
+
+    def test_the_curve_judges_mutants_the_model_is_stubbed_to_pass(self, monkeypatch):
+        """The model's failures only rule out draws that would mend a broken
+        relation: with none reported, each mutant still gets a draw and the
+        curve still fails it on its own arithmetic."""
+        curve = CurveOverFp(2003, -1, 0)
+
+        def passing(bd):
+            return replace(verify_relations(bd), failures=())
+
+        monkeypatch.setattr(curve_oracle, "verify_relations", passing)
+        for _, _, mutant in single_torsion_mutations(construct_family(3)):
+            report = realize(mutant, curve, find_assignment(mutant, curve))
+            assert report.relation_failures and not report.ok
+
+
+def shared_class_family():
+    """Family n = 3 with F1' given the class of F1."""
+    bd = construct_family(3)
+    return replace(bd, points_c={**bd.points_c, "F1'": bd.points_c["F1"]})
+
+
+SHARED = "points 'F1' and \"F1'\" share one class in the model, so no curve keeps them apart"
+
+
+class TestSharedClass:
+    """Two registered points of one class have one image on every curve, so
+    the oracle refuses them, naming the first pair, before any draw."""
+
+    def test_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("find_assignment drew generator images")
+
+        monkeypatch.setattr(curve_oracle.random, "Random", no_draws)
+        with pytest.raises(ValueError) as refused:
+            find_assignment(shared_class_family(), witness(1123))
+        assert str(refused.value) == SHARED
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_prints_the_reason_and_exits_2(self, fmt, tmp_path, capsys):
+        path = tmp_path / "shared.bd.json"
+        path.write_text(dumps(shared_class_family()))
+        assert main(["verify", str(path), "--oracle", "--format", fmt]) == 2
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(out)["oracle"] == {"error": SHARED}
+        else:
+            assert f"\noracle: error: {SHARED}\n" in out
 
 
 def etale_with(n, extra):

@@ -7,7 +7,8 @@ itself; the reference is the standard library's
 ``verify_smoothness`` makes one pass over sets; the reference compares every
 pair.  ``CurveOverFp.point_order`` is computed once per pair of opposite
 points; the reference assignment search tests each order without reading
-any stored order.
+any stored order.  ``find_assignment`` evaluates each draw with ``realize``,
+so a count bounds its draws on the family and its mutants.
 ``cli.main`` builds its parser once per process; the reference is a fresh
 ``python -m z2covers`` process per call.  The command line's JSON reports
 go through ``serialize.canonical_json``; the reference is again ``json.dumps``.
@@ -599,3 +600,24 @@ def test_point_orders_are_computed_once_per_pair_of_opposite_points(p, monkeypat
     find_assignment(construct_family(3), curve)
     # N = 1 + #(points with y = 0) + 2 * #(pairs P != -P), at most 3 points with y = 0
     assert 2 * computed <= curve.order() + 4
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_find_assignment_draws_at_most_twice_on_the_family_and_its_mutants(p, monkeypatch):
+    d = random.Random(p).randrange(1, p)
+    curve = CurveOverFp(p, -d * d, 0)
+    calls = 0
+
+    class Counted(random.Random):
+        def randrange(self, *args):
+            nonlocal calls
+            calls += 1
+            return super().randrange(*args)
+
+    monkeypatch.setattr(curve_oracle.random, "Random", Counted)
+    for n in (3, 8):
+        bd = construct_family(n)
+        for data in (bd, *(mutant for _, _, mutant in single_torsion_mutations(bd))):
+            calls = 0
+            find_assignment(data, curve)
+            assert calls <= 2 * data.group_spec.rank  # one randrange per free generator

@@ -292,6 +292,36 @@ def test_realize_matches_the_reference_on_every_halving_variant():
         assert report.ok
 
 
+# y^2 = x^3 - x at two primes p = 7 (mod 8): the group Z/2 x Z/((p + 1)/2) has
+# points of order 4, so every torsion of building_data but Z/4 x Z/4 embeds.
+WITNESSES = {p: CurveOverFp(p, -1, 0) for p in (1399, 2647)}
+
+
+@pytest.mark.parametrize("p", WITNESSES)
+@settings(max_examples=100, deadline=None)
+@given(building_data())
+def test_the_oracle_fails_exactly_the_relations_the_model_fails(p, case):
+    """Refused only for Z/4 x Z/4 torsion, which the curve cannot hold, or for
+    points the model already merges; otherwise realize matches the reference
+    and fails the model's relations, no more and no fewer."""
+    bd, _ = case
+    curve = WITNESSES[p]
+    try:
+        assignment = find_assignment(bd, curve)
+    except ValueError as refusal:
+        if bd.group_spec.torsion_orders == (4, 4):
+            assert "cannot embed the model's torsion subgroup" in str(refusal)
+        else:
+            assert "share one class in the model" in str(refusal)
+            assert len(set(bd.points_c.values())) < len(bd.points_c)
+        return
+    report = realize(bd, curve, assignment)
+    assert report == reference_realize(bd, curve, assignment)
+    assert report.relation_failures == tuple(
+        (f.chi, f.chi_prime) for f in verify_relations(bd).failures
+    )
+
+
 # -- the relation check runs once per verify ----------------------------------
 
 
