@@ -38,7 +38,6 @@ from .cover import (
 from .curve_oracle import (
     Assignment,
     CurveOverFp,
-    CurvePoint,
     INFINITY,
     RealizationReport,
     find_assignment,
@@ -76,7 +75,6 @@ __all__ = [
     "CoverElement",
     "CoverInvariants",
     "CurveOverFp",
-    "CurvePoint",
     "Fiber",
     "GroupElement",
     "GroupSpec",

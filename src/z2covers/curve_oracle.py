@@ -7,14 +7,16 @@ explicit curve y^2 = x^3 + ax + b over F_p, at desk scale: points are
 found by exhaustive enumeration (no point counting tricks), the group
 structure by brute-force order computation, once per pair {P, -P} since
 ord(-P) = ord(P), which keeps the oracle independent of the algebra it
-audits.
+audits.  A point is the tuple (x, y) of coordinates reduced mod p, and the
+point at infinity O is None (:data:`INFINITY`).
 
 Free generators of the abstract model cannot map to infinite-order points
 over a finite field, so a map to the curve may send a nonzero combination
 to O.  :func:`find_assignment` accepts a placement only when
 :func:`realize`, the one evaluation of a placement on the curve, keeps the
 registered points apart and fails every relation the model fails; points
-the model itself merges are refused before any draw.
+the model itself merges, or more registered points than the curve has, are
+refused before any draw.
 """
 
 from __future__ import annotations
@@ -37,22 +39,8 @@ def is_prime(n: int) -> bool:
     return _prime_factors(n) == (n,)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine point (x, y) mod p, or the point at infinity (None, None)."""
-
-    x: int | None
-    y: int | None
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def __repr__(self) -> str:
-        return "O" if self.is_infinity else f"({self.x}, {self.y})"
-
-
-INFINITY = CurvePoint(None, None)
+_Point = tuple[int, int] | None
+INFINITY = None
 
 
 class CurveOverFp:
@@ -68,47 +56,46 @@ class CurveOverFp:
         self.b = b % p
         if (4 * self.a**3 + 27 * self.b**2) % p == 0:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0 mod p")
-        self._points: tuple[CurvePoint, ...] | None = None
-        self._two_torsion: tuple[CurvePoint, ...] | None = None
+        self._points: tuple[_Point, ...] | None = None
+        self._two_torsion: tuple[_Point, ...] | None = None
         self._structure: tuple[int, tuple[int, int]] | None = None
-        self._orders: dict[CurvePoint, int] = {}
+        self._orders: dict[_Point, int] = {}
 
     def __repr__(self) -> str:
         return f"y^2 = x^3 + {self.a}x + {self.b} over F_{self.p}"
 
-    def contains(self, point: CurvePoint) -> bool:
+    def contains(self, point: _Point) -> bool:
         """On the curve, with coordinates reduced mod p as the group law needs."""
-        if point.is_infinity:
+        if point is None:
             return True
-        if not (0 <= point.x < self.p and 0 <= point.y < self.p):
+        x, y = point
+        if not (0 <= x < self.p and 0 <= y < self.p):
             return False
-        return (point.y**2 - (point.x**3 + self.a * point.x + self.b)) % self.p == 0
+        return (y**2 - (x**3 + self.a * x + self.b)) % self.p == 0
 
-    def _inv(self, v: int) -> int:
-        return pow(v, self.p - 2, self.p)
-
-    def negate(self, point: CurvePoint) -> CurvePoint:
-        if point.is_infinity:
+    def negate(self, point: _Point) -> _Point:
+        if point is None:
             return point
-        return CurvePoint(point.x, (-point.y) % self.p)
+        x, y = point
+        return x, -y % self.p
 
-    def add(self, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
-        if p1.is_infinity:
+    def add(self, p1: _Point, p2: _Point) -> _Point:
+        if p1 is None:
             return p2
-        if p2.is_infinity:
+        if p2 is None:
             return p1
         p = self.p
-        if p1.x == p2.x and (p1.y + p2.y) % p == 0:
+        (x1, y1), (x2, y2) = p1, p2
+        if x1 == x2 and (y1 + y2) % p == 0:
             return INFINITY
         if p1 == p2:
-            slope = (3 * p1.x * p1.x + self.a) * self._inv(2 * p1.y) % p
+            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, p - 2, p) % p
         else:
-            slope = (p2.y - p1.y) * self._inv((p2.x - p1.x) % p) % p
-        x3 = (slope * slope - p1.x - p2.x) % p
-        y3 = (slope * (p1.x - x3) - p1.y) % p
-        return CurvePoint(x3, y3)
+            slope = (y2 - y1) * pow((x2 - x1) % p, p - 2, p) % p
+        x3 = (slope * slope - x1 - x2) % p
+        return x3, (slope * (x1 - x3) - y1) % p
 
-    def scale(self, k: int, point: CurvePoint) -> CurvePoint:
+    def scale(self, k: int, point: _Point) -> _Point:
         if k < 0:
             return self.scale(-k, self.negate(point))
         result = INFINITY
@@ -120,7 +107,7 @@ class CurveOverFp:
             k >>= 1
         return result
 
-    def points(self) -> tuple[CurvePoint, ...]:
+    def points(self) -> tuple[_Point, ...]:
         """All points, by exhaustive enumeration over x."""
         if self._points is not None:
             return self._points
@@ -132,14 +119,14 @@ class CurveOverFp:
         for x in range(p):
             rhs = (x * x * x + self.a * x + self.b) % p
             for y in roots_of.get(rhs, ()):
-                found.append(CurvePoint(x, y))
+                found.append((x, y))
         self._points = tuple(found)
         return self._points
 
     def order(self) -> int:
         return len(self.points())
 
-    def point_order(self, point: CurvePoint) -> int:
+    def point_order(self, point: _Point) -> int:
         """Order of a point, reduced from the group order prime by prime.
 
         Computed once per pair {P, -P} and kept for both points, since
@@ -150,7 +137,7 @@ class CurveOverFp:
         if order is None:
             n = order = self.order()
             for q in _prime_factors(n):
-                while order % q == 0 and self.scale(order // q, point).is_infinity:
+                while order % q == 0 and self.scale(order // q, point) is None:
                     order //= q
             self._orders[point] = self._orders[self.negate(point)] = order
         return order
@@ -176,10 +163,10 @@ class CurveOverFp:
         self._structure = (n, (d1, d2))
         return self._structure
 
-    def two_torsion_points(self) -> tuple[CurvePoint, ...]:
+    def two_torsion_points(self) -> tuple[_Point, ...]:
         """Solutions of 2P = O: infinity plus the points with y = 0, found once."""
         if self._two_torsion is None:
-            self._two_torsion = tuple(pt for pt in self.points() if pt.is_infinity or pt.y == 0)
+            self._two_torsion = tuple(pt for pt in self.points() if pt is None or pt[1] == 0)
         return self._two_torsion
 
 
@@ -201,8 +188,8 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 class Assignment:
     """Images of the group model's generators on a concrete curve."""
 
-    free_points: tuple[CurvePoint, ...]
-    torsion_points: tuple[CurvePoint, ...]
+    free_points: tuple[_Point, ...]
+    torsion_points: tuple[_Point, ...]
 
 
 @dataclass(frozen=True)
@@ -217,7 +204,7 @@ class RealizationReport:
     torsion_faithful: bool
 
 
-def _image(curve: CurveOverFp, assignment: Assignment, element: GroupElement) -> CurvePoint:
+def _image(curve: CurveOverFp, assignment: Assignment, element: GroupElement) -> _Point:
     """The curve point of ``element`` under ``assignment``."""
     total = INFINITY
     for i, k in element.terms:
@@ -239,7 +226,7 @@ def _torsion_faithful(curve: CurveOverFp, bd: BuildingData, assignment: Assignme
     """Only the zero element of the model's 2-torsion maps to O.  A model with
     more 2-torsion than the curve fails by the count alone."""
     return _two_torsion_fits(curve, bd.group_spec) and all(
-        _image(curve, assignment, t).is_infinity == t.is_zero()
+        (_image(curve, assignment, t) is None) == t.is_zero()
         for t in bd.group_spec.two_torsion()
     )
 
@@ -271,7 +258,7 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
         if not curve.contains(point):
             raise ValueError(f"{point!r} is not on {curve!r}")
     for m, point in zip(spec.torsion_orders, assignment.torsion_points):
-        if not curve.scale(m, point).is_infinity:
+        if curve.scale(m, point) is not None:
             raise ValueError(
                 f"torsion generator image {point!r} is not {m}-torsion on the curve"
             )
@@ -326,11 +313,12 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     every relation the model fails is accepted, so the curve mends none; one
     only the curve fails still reaches the report.  Two registered points of
     one class in the model are refused before any draw: no curve parts them.
+    So is a model with more registered points than the curve has points.
     """
     spec = bd.group_spec
     _, (_, d2) = curve.group_structure()
 
-    by_order: dict[int, list[CurvePoint]] = {}
+    by_order: dict[int, list[_Point]] = {}
     for m in set(spec.torsion_orders):
         found = [pt for pt in curve.points() if curve.point_order(pt) == m]
         if not found:
@@ -353,6 +341,9 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     if merged:
         raise ValueError("points {!r} and {!r} share one class in the model, so no curve "
                          "keeps them apart".format(*merged[0]))
+    if len(bd.points_c) > curve.order():
+        raise ValueError(f"the model registers {len(bd.points_c)} points but the curve has "
+                         f"only {curve.order()}, so no assignment keeps them apart")
     failed = {(f.chi, f.chi_prime) for f in verify_relations(bd).failures}
     generator = next(pt for pt in curve.points() if curve.point_order(pt) == d2)
     rng = random.Random(0)

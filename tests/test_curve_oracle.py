@@ -18,7 +18,6 @@ from z2covers.cover import BuildingData, verify_relations
 from z2covers.curve_oracle import (
     Assignment,
     CurveOverFp,
-    CurvePoint,
     INFINITY,
     find_assignment,
     is_prime,
@@ -95,7 +94,7 @@ class TestGroupLaw:
             assert left == right
 
     def test_scale_matches_repeated_addition(self):
-        point = next(pt for pt in self.curve.points() if not pt.is_infinity)
+        point = next(pt for pt in self.curve.points() if pt is not INFINITY)
         running = INFINITY
         for k in range(10):
             assert self.curve.scale(k, point) == running
@@ -111,6 +110,45 @@ class TestGroupLaw:
 # One curve per (p, a, b) for the group-structure tests, so the curve at 2351
 # enumerates its points and orders once for both tests that read it.
 _shared_curve = functools.cache(CurveOverFp)
+
+
+@pytest.mark.parametrize("p,a,b", [(11, -1, 0), (13, 2, 3), (23, 1, 1), (29, 0, 7)])
+class TestGroupLawOnMoreCurves:
+    """The group law over whole addition tables, beyond y^2 = x^3 - x at 7:
+    Z/2 x Z/6 at 11, then three cyclic groups, the last with a = 0, b != 0."""
+
+    def test_addition_table_is_an_abelian_group_law(self, p, a, b):
+        curve = _shared_curve(p, a, b)
+        points = curve.points()
+        table = {(p1, p2): curve.add(p1, p2) for p1 in points for p2 in points}
+        for p1 in points:
+            assert table[p1, INFINITY] == table[INFINITY, p1] == p1
+            assert {table[p1, p2] for p2 in points} == set(points)
+            for p2 in points:
+                assert table[p1, p2] == table[p2, p1]
+                for p3 in points:
+                    assert table[table[p1, p2], p3] == table[p1, table[p2, p3]]
+
+    def test_point_order_matches_naive_orbit(self, p, a, b):
+        curve = _shared_curve(p, a, b)
+        for point in curve.points():
+            running, order = point, 1
+            while running != INFINITY:
+                running = curve.add(running, point)
+                order += 1
+            assert curve.point_order(point) == order
+
+    def test_scale_matches_repeated_addition(self, p, a, b):
+        curve = _shared_curve(p, a, b)
+        for point in curve.points():
+            running = INFINITY
+            for k in range(curve.order() + 2):
+                assert curve.scale(k, point) == running
+                running = curve.add(running, point)
+            running = INFINITY
+            for k in range(1, 4):
+                running = curve.add(running, curve.negate(point))
+                assert curve.scale(-k, point) == running
 
 
 class TestGroupStructure:
@@ -199,7 +237,7 @@ class TestRealization:
 
     def test_point_off_the_curve_is_an_error(self):
         bad = Assignment(
-            (CurvePoint(1, 1),) * self.bd.group_spec.rank,
+            ((1, 1),) * self.bd.group_spec.rank,
             self.assignment.torsion_points,
         )
         with pytest.raises(ValueError):
@@ -210,7 +248,7 @@ class TestRealization:
         curve = CurveOverFp(1123, -1, 0)
         found = find_assignment(self.bd, curve)
         point = found.free_points[0]
-        unreduced = CurvePoint(point.x + dx, point.y + dy)
+        unreduced = (point[0] + dx, point[1] + dy)
         # The group law compares raw coordinates, so the sum comes out wrong.
         assert curve.add(unreduced, point) != curve.add(point, point)
         assert not curve.contains(unreduced)
@@ -333,6 +371,39 @@ class TestSharedClass:
             assert f"\noracle: error: {SHARED}\n" in out
 
 
+class TestPigeonhole:
+    """A model with more registered points than the curve has points cannot
+    keep them apart, so the oracle refuses it, with both counts, before any
+    draw."""
+
+    @pytest.mark.parametrize("n,p,points,order", [(8, 23, 27, 24), (32, 11, 99, 12)])
+    def test_refused_before_any_draw(self, n, p, points, order, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("find_assignment drew generator images")
+
+        monkeypatch.setattr(curve_oracle.random, "Random", no_draws)
+        with pytest.raises(ValueError) as refused:
+            find_assignment(construct_family(n), CurveOverFp(p, -1, 0))
+        assert str(refused.value) == (
+            f"the model registers {points} points but the curve has only {order}, "
+            "so no assignment keeps them apart"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_prints_the_reason_and_exits_2(self, fmt, tmp_path, capsys):
+        reason = ("the model registers 27 points but the curve has only 24, "
+                  "so no assignment keeps them apart")
+        path = tmp_path / "family8.bd.json"
+        path.write_text(dumps(construct_family(8)))
+        argv = ["verify", str(path), "--oracle", "--oracle-prime", "23", "--format", fmt]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(out)["oracle"] == {"error": reason}
+        else:
+            assert f"\noracle: error: {reason}\n" in out
+
+
 def etale_with(n, extra):
     """construct_etale(n) in a model with the further torsion factors ``extra``."""
     spec = GroupSpec(0, (2,) * n + extra)
@@ -402,7 +473,7 @@ class TestTorsionSearch:
             candidate
             for candidate in itertools.product(*(of_order[m] for m in orders))
             if all(
-                curve_oracle._image(self.curve, Assignment((), candidate), t).is_infinity
+                (curve_oracle._image(self.curve, Assignment((), candidate), t) is INFINITY)
                 == t.is_zero()
                 for t in bd.group_spec.two_torsion()
             )

@@ -8,7 +8,8 @@ itself; the reference is the standard library's
 pair.  ``CurveOverFp.point_order`` is computed once per pair of opposite
 points; the reference assignment search tests each order without reading
 any stored order.  ``find_assignment`` evaluates each draw with ``realize``,
-so a count bounds its draws on the family and its mutants.
+so a count bounds its draws on the family and its mutants; a count of
+``CurveOverFp.add`` calls bounds the work of each oracle stage.
 ``cli.main`` builds its parser once per process; the reference is a fresh
 ``python -m z2covers`` process per call.  The command line's JSON reports
 go through ``serialize.canonical_json``; the reference is again ``json.dumps``.
@@ -41,7 +42,7 @@ from z2covers.cover import (
     verify_relations,
     verify_smoothness,
 )
-from z2covers.curve_oracle import INFINITY, Assignment, CurveOverFp, find_assignment
+from z2covers.curve_oracle import INFINITY, Assignment, CurveOverFp, find_assignment, realize
 from z2covers.invariants import canonical_map_degree, compute_invariants
 from z2covers.picard import SurfaceClass
 
@@ -517,10 +518,10 @@ ORACLE_PRIMES = (1123, 1399, 1567, 1831, 2083, 2351, 2647, 2851)
 
 def has_order(curve, point, m):
     """m.P = O, and (m/q).P != O for every prime q dividing m."""
-    if not curve.scale(m, point).is_infinity:
+    if curve.scale(m, point) is not INFINITY:
         return False
     primes = [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]
-    return all(not curve.scale(m // q, point).is_infinity for q in primes)
+    return all(curve.scale(m // q, point) is not INFINITY for q in primes)
 
 
 def reference_assignment(bd, curve, seed=0, attempts=400):
@@ -541,7 +542,7 @@ def reference_assignment(bd, curve, seed=0, attempts=400):
         candidate
         for candidate in itertools.product(*(by_order[m] for m in spec.torsion_orders))
         if all(
-            phi(Assignment((INFINITY,) * spec.rank, candidate), t).is_infinity
+            (phi(Assignment((INFINITY,) * spec.rank, candidate), t) is INFINITY)
             == t.is_zero()
             for t in spec.two_torsion()
         )
@@ -621,3 +622,28 @@ def test_find_assignment_draws_at_most_twice_on_the_family_and_its_mutants(p, mo
             calls = 0
             find_assignment(data, curve)
             assert calls <= 2 * data.group_spec.rank  # one randrange per free generator
+
+
+def test_each_oracle_stage_makes_at_most_its_add_calls(monkeypatch):
+    """Family n = 8 on y^2 = x^3 - x over F_2351, whose group is Z/2 x Z/1176:
+    group_structure, find_assignment and realize make at most the add calls
+    they made when a point was a dataclass, so the tuple points changed the
+    representation and not the work."""
+    calls = 0
+    add = CurveOverFp.add
+
+    def counting_add(curve, p1, p2):
+        nonlocal calls
+        calls += 1
+        return add(curve, p1, p2)
+
+    monkeypatch.setattr(CurveOverFp, "add", counting_add)
+    bd, curve = construct_family(8), CurveOverFp(2351, -1, 0)
+    curve.group_structure()
+    assert calls <= 70_703
+    calls = 0
+    assignment = find_assignment(bd, curve)
+    assert calls <= 649
+    calls = 0
+    realize(bd, curve, assignment)
+    assert calls <= 380

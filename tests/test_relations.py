@@ -70,7 +70,7 @@ def reference_realize(bd, curve, assignment):
         return total
 
     torsion_faithful = all(
-        t.is_zero() or not phi(t).is_infinity for t in spec.two_torsion()
+        t.is_zero() or phi(t) is not INFINITY for t in spec.two_torsion()
     )
     collisions = tuple(
         (p, q)
