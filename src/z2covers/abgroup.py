@@ -80,15 +80,9 @@ class GroupSpec:
         return GroupElement(self, terms=(), tors=tors)
 
     def two_torsion(self) -> tuple["GroupElement", ...]:
-        """All solutions of 2x = 0, in a deterministic order.
-
-        The free part of any such x vanishes; each torsion coordinate is 0,
-        or m_i/2 when m_i is even.
-        """
-        choices = [(0, m // 2) if m % 2 == 0 else (0,) for m in self.torsion_orders]
-        return tuple(
-            GroupElement(self, terms=(), tors=combo) for combo in itertools.product(*choices)
-        )
+        """All solutions of 2x = 0, the halvings of zero, sorted by torsion
+        coordinates: each is 0, or m_i/2 when m_i is even."""
+        return halvings(self.zero())
 
     def elements(self):
         """Iterate the whole group.  Only finite groups (rank 0) qualify."""

@@ -164,27 +164,24 @@ def _family_shape(bd: BuildingData) -> tuple[int, GroupElement]:
     return len(halved), bd.group_spec.sum(halved)
 
 
+# The family's 2-torsion over Z/2 + Z/2, named by its torsion coordinates.
+_ETA_NAMES = {(0, 0): None, (1, 0): "η1", (0, 1): "η2", (1, 1): "η3"}
+
+
 def _symbolize(cls: SurfaceClass, fiber_count: int, halved_sum: GroupElement) -> str:
     """Render a class of the family as  aE + k(sum F_ii) + eta."""
-    spec = cls.spec
     if cls.degree % fiber_count:
         raise ValueError(f"cannot render degree {cls.degree} over {fiber_count} fibers")
     k = cls.degree // fiber_count
     residual = cls.pic0 - k * halved_sum
     if residual.terms:
         raise ValueError("class is not a combination of family generators")
-    eta_names = {
-        spec.zero().tors: None,
-        spec.torsion_generator(0).tors: "η1",
-        spec.torsion_generator(1).tors: "η2",
-        (spec.torsion_generator(0) + spec.torsion_generator(1)).tors: "η3",
-    }
     terms = [f"{cls.a}E"]
     if k == 1:
         terms.append("ΣF_ii")
     elif k:
         terms.append(f"{k}ΣF_ii")
-    eta = eta_names[residual.tors]
+    eta = _ETA_NAMES[residual.tors]
     if eta:
         terms.append(eta)
     return " + ".join(terms)

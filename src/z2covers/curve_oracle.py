@@ -16,7 +16,9 @@ to O.  :func:`find_assignment` accepts a placement only when
 :func:`realize`, the one evaluation of a placement on the curve, keeps the
 registered points apart and fails every relation the model fails; points
 the model itself merges, or more registered points than the curve has, are
-refused before any draw.
+refused before any draw.  Torsion is read only through the 2-torsion: the
+images (m/2)·P of the even-order generators must be independent in the
+curve's 2-torsion (Z/2)^r, r <= 2, so the search keeps one point per image.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
-from .abgroup import GroupElement, GroupSpec
+from .abgroup import GroupElement
 from .characters import Character
 from .cover import BuildingData, Fiber, relations, verify_relations
 
@@ -215,20 +217,15 @@ def _image(curve: CurveOverFp, assignment: Assignment, element: GroupElement) ->
     return total
 
 
-def _two_torsion_fits(curve: CurveOverFp, spec: GroupSpec) -> bool:
-    """Whether the model's 2-torsion, one Z/2 per even torsion order, is no
-    larger than the curve's; counted, never enumerated."""
-    even = sum(1 for m in spec.torsion_orders if m % 2 == 0)
-    return 1 << even <= len(curve.two_torsion_points())
-
-
 def _torsion_faithful(curve: CurveOverFp, bd: BuildingData, assignment: Assignment) -> bool:
-    """Only the zero element of the model's 2-torsion maps to O.  A model with
-    more 2-torsion than the curve fails by the count alone."""
-    return _two_torsion_fits(curve, bd.group_spec) and all(
-        (_image(curve, assignment, t) is None) == t.is_zero()
-        for t in bd.group_spec.two_torsion()
-    )
+    """Only the zero element of the model's 2-torsion maps to O.  That 2-torsion
+    is spanned by (m/2)·t, one per even order m, and the curve's is (Z/2)^r
+    with r <= 2, so it embeds exactly when the images (m/2)·P are independent:
+    at most two, none O, all distinct."""
+    h = [curve.scale(m // 2, point)
+         for m, point in zip(bd.group_spec.torsion_orders, assignment.torsion_points)
+         if m % 2 == 0]
+    return len(h) <= 2 and None not in h and len(set(h)) == len(h)
 
 
 def _shared_pairs(keys: dict[str, object]) -> tuple[tuple[str, str], ...]:
@@ -301,32 +298,40 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     """Search for generator images that make the realization faithful.
 
     Torsion generators are mapped to points of exactly matching order with the
-    model's 2-torsion embedded faithfully.  Only the images of even-order
-    generators are searched: an odd-order generator takes the first point of
-    its order, since odd factors never meet the 2-torsion, and a model with
-    more 2-torsion than the curve is refused before any search.  So only the
-    2-torsion is embedded faithfully: data broken by odd torsion alone, such
-    as t3 - t4 of two order-3 generators (both map to one point), is refused,
-    not judged.  Free generators are mapped to multiples of a point of maximal
-    order, the multipliers drawn from ``random.Random(0)``.  The first of
-    :data:`ATTEMPTS` draws whose :func:`realize` report is injective and fails
-    every relation the model fails is accepted, so the curve mends none; one
-    only the curve fails still reaches the report.  Two registered points of
-    one class in the model are refused before any draw: no curve parts them.
-    So is a model with more registered points than the curve has points.
+    model's 2-torsion embedded faithfully, which :func:`_torsion_faithful`
+    reads only through the images (m/2)·P of the even-order generators.  So
+    per even order m only the first point of each image is tried, at most
+    three, and the first faithful candidate is the one the product of all
+    points would give; more than two even orders are refused before any
+    search.  An odd-order generator takes the first point of its order, since
+    odd factors never meet the 2-torsion.  So data broken by odd torsion
+    alone, such as t3 - t4 of two order-3 generators (both map to one point),
+    is refused, not judged.  Free generators are mapped to multiples of a
+    point of maximal order, the multipliers drawn from ``random.Random(0)``.
+    The first of :data:`ATTEMPTS` draws whose :func:`realize` report is
+    injective and fails every relation the model fails is accepted, so the
+    curve mends none; one only the curve fails still reaches the report.  Two
+    registered points of one class in the model are refused before any draw:
+    no curve parts them.  So is a model with more registered points than the
+    curve has points.
     """
     spec = bd.group_spec
     _, (_, d2) = curve.group_structure()
 
     by_order: dict[int, list[_Point]] = {}
     for m in set(spec.torsion_orders):
-        found = [pt for pt in curve.points() if curve.point_order(pt) == m]
-        if not found:
+        # The first point of order m per image (m/2)·P, all that faithfulness
+        # reads; an odd order meets no 2-torsion, so it keeps one point.
+        firsts: dict[_Point, _Point] = {}
+        for pt in curve.points():
+            if curve.point_order(pt) == m:
+                firsts.setdefault(curve.scale(m // 2, pt) if m % 2 == 0 else INFINITY, pt)
+        if not firsts:
             raise ValueError(f"curve has no point of order {m}")
-        by_order[m] = found if m % 2 == 0 else found[:1]
+        by_order[m] = list(firsts.values())
 
     refusal = "curve torsion cannot embed the model's torsion subgroup"
-    if not _two_torsion_fits(curve, spec):
+    if sum(m % 2 == 0 for m in spec.torsion_orders) > 2:
         raise ValueError(refusal)
     candidates = itertools.product(*(by_order[m] for m in spec.torsion_orders))
     no_free = (INFINITY,) * spec.rank

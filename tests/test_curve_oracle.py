@@ -11,10 +11,10 @@ import pytest
 
 from z2covers import curve_oracle
 from z2covers.abgroup import GroupSpec
-from z2covers.characters import Character, nontrivial_characters
+from z2covers.characters import Character, CoverElement, nontrivial_characters
 from z2covers.cli import main
 from z2covers.construction import construct_family, single_torsion_mutations
-from z2covers.cover import BuildingData, verify_relations
+from z2covers.cover import BuildingData, Fiber, verify_relations
 from z2covers.curve_oracle import (
     Assignment,
     CurveOverFp,
@@ -414,23 +414,51 @@ def etale_with(n, extra):
     return BuildingData(spec, {}, (), L, {})
 
 
+def one_character(orders):
+    """A Z/2 cover over the torsion group Z/m_1 + ... with one branch pair."""
+    spec = GroupSpec(0, orders)
+    chi, sigma = Character.from_string("1"), CoverElement.from_string("1")
+    return BuildingData(spec, {}, ("E1", "E2"), {chi: SurfaceClass(1, 0, spec.zero())},
+                        {sigma: (Fiber("E", "E1"), Fiber("E", "E2"))})
+
+
+def faithful_by_two_torsion(curve, spec, torsion_points):
+    """The model's 2-torsion embeds: each element of spec.two_torsion() maps
+    to O exactly when it is zero, summed with the curve's own group law."""
+    def image(t):
+        total = INFINITY
+        for k, point in zip(t.tors, torsion_points):
+            total = curve.add(total, curve.scale(k, point))
+        return total
+
+    return all((image(t) is INFINITY) == t.is_zero() for t in spec.two_torsion())
+
+
+def first_faithful_of_the_full_product(curve, spec):
+    """The first faithful candidate over all points of each order, or None."""
+    orders = spec.torsion_orders
+    of_order = {m: [pt for pt in curve.points() if curve.point_order(pt) == m]
+                for m in set(orders)}
+    candidates = itertools.product(*(of_order[m] for m in orders))
+    return next((c for c in candidates if faithful_by_two_torsion(curve, spec, c)), None)
+
+
+EMBED = "curve torsion cannot embed the model's torsion subgroup"
+
+
 class TestTorsionSearch:
-    """The torsion search never enumerates a 2-torsion larger than the curve's
-    four points nor the images of odd-order generators."""
+    """The torsion search never enumerates the model's 2-torsion nor the
+    images of odd-order generators, and tries one point per image (m/2)·P."""
 
     curve = CurveOverFp(2003, -1, 0)  # Z/2 x Z/1002: four 2-torsion points
 
     @pytest.fixture
     def searched(self, monkeypatch):
-        """Fail fast where the search would run for hours: two_torsion() of more
-        than four elements, or more than 50 candidates tried.  Yields the
-        candidates tried."""
-        two_torsion = GroupSpec.two_torsion
-
-        def at_most_four(spec):
-            if sum(m % 2 == 0 for m in spec.torsion_orders) > 2:
-                raise AssertionError(f"enumerating the 2-torsion of {spec.torsion_orders}")
-            return two_torsion(spec)
+        """Fail fast where the search would run for hours: any call to
+        two_torsion(), or more than 50 candidates tried.  Yields the candidates
+        tried."""
+        def refused(spec):
+            raise AssertionError(f"enumerating the 2-torsion of {spec.torsion_orders}")
 
         faithful, tried = curve_oracle._torsion_faithful, []
 
@@ -440,13 +468,13 @@ class TestTorsionSearch:
                 raise AssertionError("more than 50 torsion candidates tried")
             return faithful(curve, bd, assignment)
 
-        monkeypatch.setattr(GroupSpec, "two_torsion", at_most_four)
+        monkeypatch.setattr(GroupSpec, "two_torsion", refused)
         monkeypatch.setattr(curve_oracle, "_torsion_faithful", capped)
         return tried
 
     def test_more_two_torsion_than_the_curve_is_refused_unsearched(self, searched):
         bd = etale_with(3, (2,) * 19)
-        with pytest.raises(ValueError, match="cannot embed the model's torsion subgroup"):
+        with pytest.raises(ValueError, match=EMBED):
             find_assignment(bd, self.curve)
         assert searched == []
         order_two = self.curve.two_torsion_points()[1]
@@ -461,24 +489,67 @@ class TestTorsionSearch:
         assert assignment.torsion_points[2:] == (first,) * 30
         assert realize(bd, self.curve, assignment).ok
 
-    @pytest.mark.parametrize("extra", [(3,), (6,), (3, 6), (2, 3), (6, 3, 3)])
-    def test_the_first_faithful_candidate_of_the_full_product_is_found(self, extra):
+    def test_two_generators_of_order_516_with_one_image_are_refused_at_once(self, searched):
+        curve = CurveOverFp(1031, -1, 0)  # Z/2 x Z/516: 336 points of order 516
+        with pytest.raises(ValueError, match=EMBED):
+            find_assignment(one_character((516, 516)), curve)
+        assert len(searched) <= 9
+
+    def test_the_family_on_a_cyclic_curve_is_refused_after_one_candidate(self, searched):
+        curve = CurveOverFp(1031, 2, 3)  # Z/1060: one point of order 2
+        with pytest.raises(ValueError, match=EMBED):
+            find_assignment(construct_family(3), curve)
+        assert len(searched) <= 1
+
+    @pytest.mark.parametrize("p, extra", [
+        *((2003, extra) for extra in [(3,), (6,), (3, 6), (2, 3), (6, 3, 3)]),
+        *((1031, extra) for extra in [(4,), (2, 4), (4, 3), (12,), (2, 12)]),
+    ])
+    def test_the_first_faithful_candidate_of_the_full_product_is_found(self, p, extra):
+        curve = CurveOverFp(p, -1, 0)
         bd = etale_with(1, extra)
-        orders = bd.group_spec.torsion_orders
-        of_order = {
-            m: [pt for pt in self.curve.points() if self.curve.point_order(pt) == m]
-            for m in set(orders)
-        }
-        first = next(
-            candidate
-            for candidate in itertools.product(*(of_order[m] for m in orders))
-            if all(
-                (curve_oracle._image(self.curve, Assignment((), candidate), t) is INFINITY)
-                == t.is_zero()
-                for t in bd.group_spec.two_torsion()
-            )
-        )
-        assert find_assignment(bd, self.curve).torsion_points == first
+        first = first_faithful_of_the_full_product(curve, bd.group_spec)
+        if first is None:
+            with pytest.raises(ValueError, match=EMBED):
+                find_assignment(bd, curve)
+        else:
+            assert find_assignment(bd, curve).torsion_points == first
+
+    @pytest.mark.parametrize("orders", [(4, 4), (12, 12)])
+    def test_refused_where_no_candidate_of_the_full_product_is_faithful(self, orders, request):
+        """Every point of order 4 or 12 on Z/2 x Z/516 has one image (m/2)·P,
+        so the search tries one candidate where the full product has 16 or 64."""
+        curve = CurveOverFp(1031, -1, 0)
+        bd = one_character(orders)
+        assert first_faithful_of_the_full_product(curve, bd.group_spec) is None
+        searched = request.getfixturevalue("searched")
+        with pytest.raises(ValueError, match=EMBED):
+            find_assignment(bd, curve)
+        assert len(searched) == 1
+
+
+class TestTorsionFaithful:
+    """_torsion_faithful reads only the images (m/2)·P; the reference evaluates
+    every element of the model's 2-torsion on the curve."""
+
+    @pytest.mark.parametrize("p, a, b", [(1031, -1, 0), (1031, 2, 3), (23, 1, 1)])
+    def test_matches_the_whole_two_torsion_on_every_assignment(self, p, a, b):
+        curve = CurveOverFp(p, a, b)
+        killed_by = functools.cache(
+            lambda m: [pt for pt in curve.points() if curve.scale(m, pt) is INFINITY])
+        three_even = half_is_o = 0
+        for orders in [(2,), (4,), (2, 2), (2, 4), (4, 4), (6, 12), (2, 2, 2), (3,), (2, 3)]:
+            bd = one_character(orders)
+            for points in itertools.product(*map(killed_by, orders)):
+                got = curve_oracle._torsion_faithful(curve, bd, Assignment((), points))
+                want = faithful_by_two_torsion(curve, bd.group_spec, points)
+                assert got == want, (orders, points)
+                if sum(m % 2 == 0 for m in orders) == 3:
+                    assert not got
+                    three_even += 1
+                half_is_o += any(m % 2 == 0 and curve.scale(m // 2, pt) is INFINITY
+                                 for m, pt in zip(orders, points))
+        assert three_even and half_is_o
 
 
 def odd_torsion_family():

@@ -626,9 +626,9 @@ def test_find_assignment_draws_at_most_twice_on_the_family_and_its_mutants(p, mo
 
 def test_each_oracle_stage_makes_at_most_its_add_calls(monkeypatch):
     """Family n = 8 on y^2 = x^3 - x over F_2351, whose group is Z/2 x Z/1176:
-    group_structure, find_assignment and realize make at most the add calls
-    they made when a point was a dataclass, so the tuple points changed the
-    representation and not the work."""
+    group_structure makes at most the add calls it made when a point was a
+    dataclass, and find_assignment and realize at most those they make with
+    the torsion read only through the images (m/2)·P."""
     calls = 0
     add = CurveOverFp.add
 
@@ -643,7 +643,7 @@ def test_each_oracle_stage_makes_at_most_its_add_calls(monkeypatch):
     assert calls <= 70_703
     calls = 0
     assignment = find_assignment(bd, curve)
-    assert calls <= 649
+    assert calls <= 631
     calls = 0
     realize(bd, curve, assignment)
-    assert calls <= 380
+    assert calls <= 372
