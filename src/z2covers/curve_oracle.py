@@ -16,9 +16,9 @@ to O.  :func:`find_assignment` accepts a placement only when
 :func:`realize`, the one evaluation of a placement on the curve, keeps the
 registered points apart and fails every relation the model fails; points
 the model itself merges, or more registered points than the curve has, are
-refused before any draw.  Torsion is read only through the 2-torsion: the
-images (m/2)·P of the even-order generators must be independent in the
-curve's 2-torsion (Z/2)^r, r <= 2, so the search keeps one point per image.
+refused before any draw.  Torsion is read prime by prime: the images (m/ℓ)·P
+of the generators with ℓ | m must be independent in the curve's E[ℓ] = (Z/ℓ)^r,
+r <= 2, so the search keeps one point per tuple of lines <(m/ℓ)·P>.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class CurveOverFp:
         if (4 * self.a**3 + 27 * self.b**2) % p == 0:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0 mod p")
         self._points: tuple[_Point, ...] | None = None
-        self._two_torsion: tuple[_Point, ...] | None = None
         self._structure: tuple[int, tuple[int, int]] | None = None
         self._orders: dict[_Point, int] = {}
 
@@ -102,12 +101,12 @@ class CurveOverFp:
             return self.scale(-k, self.negate(point))
         result = INFINITY
         addend = point
-        while k:
+        while k > 1:
             if k & 1:
                 result = self.add(result, addend)
             addend = self.add(addend, addend)
             k >>= 1
-        return result
+        return self.add(result, addend) if k else result
 
     def points(self) -> tuple[_Point, ...]:
         """All points, by exhaustive enumeration over x."""
@@ -129,12 +128,9 @@ class CurveOverFp:
         return len(self.points())
 
     def point_order(self, point: _Point) -> int:
-        """Order of a point, reduced from the group order prime by prime.
-
-        Computed once per pair {P, -P} and kept for both points, since
-        ord(-P) = ord(P): group_structure and find_assignment read the same
-        orders.
-        """
+        """Order of a point, reduced from the group order prime by prime and
+        kept for both points of {P, -P}, since ord(-P) = ord(P); group_structure
+        and find_assignment read the same orders."""
         order = self._orders.get(point)
         if order is None:
             n = order = self.order()
@@ -145,11 +141,8 @@ class CurveOverFp:
         return order
 
     def group_structure(self) -> tuple[int, tuple[int, int]]:
-        """(N, (d1, d2)) with the group isomorphic to Z/d1 x Z/d2, d1 | d2.
-
-        d2 is the exponent, found as the lcm of all point orders, one order
-        computed per pair {P, -P}.
-        """
+        """(N, (d1, d2)) with the group isomorphic to Z/d1 x Z/d2, d1 | d2, and
+        d2 the exponent: the lcm of all point orders."""
         if self._structure is not None:
             return self._structure
         n = self.order()
@@ -166,10 +159,8 @@ class CurveOverFp:
         return self._structure
 
     def two_torsion_points(self) -> tuple[_Point, ...]:
-        """Solutions of 2P = O: infinity plus the points with y = 0, found once."""
-        if self._two_torsion is None:
-            self._two_torsion = tuple(pt for pt in self.points() if pt is None or pt[1] == 0)
-        return self._two_torsion
+        """Solutions of 2P = O: infinity plus the points with y = 0."""
+        return tuple(pt for pt in self.points() if pt is None or pt[1] == 0)
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -218,14 +209,20 @@ def _image(curve: CurveOverFp, assignment: Assignment, element: GroupElement) ->
 
 
 def _torsion_faithful(curve: CurveOverFp, bd: BuildingData, assignment: Assignment) -> bool:
-    """Only the zero element of the model's 2-torsion maps to O.  That 2-torsion
-    is spanned by (m/2)·t, one per even order m, and the curve's is (Z/2)^r
-    with r <= 2, so it embeds exactly when the images (m/2)·P are independent:
-    at most two, none O, all distinct."""
-    h = [curve.scale(m // 2, point)
-         for m, point in zip(bd.group_spec.torsion_orders, assignment.torsion_points)
-         if m % 2 == 0]
-    return len(h) <= 2 and None not in h and len(set(h)) == len(h)
+    """Only the zero element of the model's torsion maps to O.  A map from a
+    finite abelian group is injective exactly when no element of prime order
+    maps to O.  For each prime ℓ those elements are spanned by (m/ℓ)·t, one
+    per order ℓ | m, and the curve's E[ℓ] is (Z/ℓ)^r, r <= 2, so their images
+    (m/ℓ)·P must be independent: at most two, none O, the second not a
+    multiple of the first."""
+    orders = bd.group_spec.torsion_orders
+    for ell in set().union(*map(_prime_factors, orders)):
+        h = [curve.scale(m // ell, point)
+             for m, point in zip(orders, assignment.torsion_points) if m % ell == 0]
+        if len(h) > 2 or None in h or (
+                len(h) == 2 and h[1] in {curve.scale(k, h[0]) for k in range(1, ell)}):
+            return False
+    return True
 
 
 def _shared_pairs(keys: dict[str, object]) -> tuple[tuple[str, str], ...]:
@@ -298,41 +295,42 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     """Search for generator images that make the realization faithful.
 
     Torsion generators are mapped to points of exactly matching order with the
-    model's 2-torsion embedded faithfully, which :func:`_torsion_faithful`
-    reads only through the images (m/2)·P of the even-order generators.  So
-    per even order m only the first point of each image is tried, at most
-    three, and the first faithful candidate is the one the product of all
-    points would give; more than two even orders are refused before any
-    search.  An odd-order generator takes the first point of its order, since
-    odd factors never meet the 2-torsion.  So data broken by odd torsion
-    alone, such as t3 - t4 of two order-3 generators (both map to one point),
-    is refused, not judged.  Free generators are mapped to multiples of a
-    point of maximal order, the multipliers drawn from ``random.Random(0)``.
-    The first of :data:`ATTEMPTS` draws whose :func:`realize` report is
-    injective and fails every relation the model fails is accepted, so the
-    curve mends none; one only the curve fails still reaches the report.  Two
-    registered points of one class in the model are refused before any draw:
-    no curve parts them.  So is a model with more registered points than the
-    curve has points.
+    model's torsion embedded faithfully, which :func:`_torsion_faithful` reads
+    only through the images (m/ℓ)·P for each prime ℓ | m.  So per order m
+    only the first point of each tuple of lines <(m/ℓ)·P> is tried, and the
+    first faithful candidate is the one the product of all points would give;
+    more generators with ℓ | m than the curve's ℓ-rank are refused before any
+    search.  Free generators are mapped to multiples of a point of maximal
+    order, the multipliers drawn from ``random.Random(0)``.  The first of
+    :data:`ATTEMPTS` draws whose :func:`realize` report is injective and fails
+    every relation the model fails is accepted, so the curve mends none; one
+    only the curve fails still reaches the report.  Two registered points of
+    one class in the model are refused before any draw: no curve parts them.
+    So is a model with more registered points than the curve has points.
     """
     spec = bd.group_spec
-    _, (_, d2) = curve.group_structure()
+    _, (d1, d2) = curve.group_structure()
 
+    line: dict[_Point, _Point] = {}  # each point of prime order to the first of its line
     by_order: dict[int, list[_Point]] = {}
     for m in set(spec.torsion_orders):
-        # The first point of order m per image (m/2)·P, all that faithfulness
-        # reads; an odd order meets no 2-torsion, so it keeps one point.
-        firsts: dict[_Point, _Point] = {}
+        primes = _prime_factors(m)
+        firsts: dict[tuple[_Point, ...], _Point] = {}  # the first point per tuple of lines
         for pt in curve.points():
             if curve.point_order(pt) == m:
-                firsts.setdefault(curve.scale(m // 2, pt) if m % 2 == 0 else INFINITY, pt)
+                h = [curve.scale(m // ell, pt) for ell in primes]
+                for ell, point in zip(primes, h):
+                    if point not in line:
+                        line.update((curve.scale(k, point), point) for k in range(1, ell))
+                firsts.setdefault(tuple(map(line.get, h)), pt)
         if not firsts:
             raise ValueError(f"curve has no point of order {m}")
         by_order[m] = list(firsts.values())
 
     refusal = "curve torsion cannot embed the model's torsion subgroup"
-    if sum(m % 2 == 0 for m in spec.torsion_orders) > 2:
-        raise ValueError(refusal)
+    for ell in set().union(*map(_prime_factors, spec.torsion_orders)):
+        if sum(m % ell == 0 for m in spec.torsion_orders) > (d1 % ell == 0) + (d2 % ell == 0):
+            raise ValueError(refusal)
     candidates = itertools.product(*(by_order[m] for m in spec.torsion_orders))
     no_free = (INFINITY,) * spec.rank
     faithful = (c for c in candidates if _torsion_faithful(curve, bd, Assignment(no_free, c)))

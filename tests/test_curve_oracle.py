@@ -422,16 +422,20 @@ def one_character(orders):
                         {sigma: (Fiber("E", "E1"), Fiber("E", "E2"))})
 
 
-def faithful_by_two_torsion(curve, spec, torsion_points):
-    """The model's 2-torsion embeds: each element of spec.two_torsion() maps
-    to O exactly when it is zero, summed with the curve's own group law."""
-    def image(t):
-        total = INFINITY
-        for k, point in zip(t.tors, torsion_points):
-            total = curve.add(total, curve.scale(k, point))
-        return total
-
-    return all((image(t) is INFINITY) == t.is_zero() for t in spec.two_torsion())
+def faithful_prime_by_prime(curve, spec, torsion_points):
+    """The model's torsion embeds: every element of prime order in the product
+    of the Z/m maps to O only if it is zero, summed with the curve's own group
+    law."""
+    orders = spec.torsion_orders
+    for t in itertools.product(*map(range, orders)):
+        order = math.lcm(*(m // math.gcd(k, m) for k, m in zip(t, orders)))
+        if order > 1 and all(order % q for q in range(2, order)):
+            image = INFINITY
+            for k, point in zip(t, torsion_points):
+                image = curve.add(image, curve.scale(k, point))
+            if image is INFINITY:
+                return False
+    return True
 
 
 def first_faithful_of_the_full_product(curve, spec):
@@ -440,15 +444,15 @@ def first_faithful_of_the_full_product(curve, spec):
     of_order = {m: [pt for pt in curve.points() if curve.point_order(pt) == m]
                 for m in set(orders)}
     candidates = itertools.product(*(of_order[m] for m in orders))
-    return next((c for c in candidates if faithful_by_two_torsion(curve, spec, c)), None)
+    return next((c for c in candidates if faithful_prime_by_prime(curve, spec, c)), None)
 
 
 EMBED = "curve torsion cannot embed the model's torsion subgroup"
 
 
 class TestTorsionSearch:
-    """The torsion search never enumerates the model's 2-torsion nor the
-    images of odd-order generators, and tries one point per image (m/2)·P."""
+    """The torsion search never enumerates the model's 2-torsion, and tries one
+    point per tuple of lines <(m/ℓ)·P>."""
 
     curve = CurveOverFp(2003, -1, 0)  # Z/2 x Z/1002: four 2-torsion points
 
@@ -481,13 +485,19 @@ class TestTorsionSearch:
         report = realize(bd, self.curve, Assignment((), (order_two,) * 22))
         assert not report.torsion_faithful and not report.ok
 
-    def test_odd_generators_take_the_first_point_of_their_order(self, searched):
-        bd = etale_with(2, (3,) * 30)
-        assignment = find_assignment(bd, self.curve)
-        assert len(searched) <= 9
-        first = next(pt for pt in self.curve.points() if self.curve.point_order(pt) == 3)
-        assert assignment.torsion_points[2:] == (first,) * 30
-        assert realize(bd, self.curve, assignment).ok
+    def test_more_three_torsion_than_the_curve_is_refused_unsearched(self, searched):
+        bd = etale_with(2, (3,) * 30)  # the curve's 3-torsion is Z/3
+        with pytest.raises(ValueError, match=EMBED):
+            find_assignment(bd, self.curve)
+        assert searched == []
+
+    def test_two_order_three_generators_embed_in_full_three_torsion(self, searched):
+        curve = CurveOverFp(1021, 0, 1)  # Z/12 x Z/84: E[3] = Z/3 x Z/3
+        bd = etale_with(2, (3, 3))
+        assignment = find_assignment(bd, curve)
+        p, q = assignment.torsion_points[2:]
+        assert q not in (p, curve.negate(p))
+        assert realize(bd, curve, assignment).ok
 
     def test_two_generators_of_order_516_with_one_image_are_refused_at_once(self, searched):
         curve = CurveOverFp(1031, -1, 0)  # Z/2 x Z/516: 336 points of order 516
@@ -501,48 +511,62 @@ class TestTorsionSearch:
             find_assignment(construct_family(3), curve)
         assert len(searched) <= 1
 
-    @pytest.mark.parametrize("p, extra", [
-        *((2003, extra) for extra in [(3,), (6,), (3, 6), (2, 3), (6, 3, 3)]),
-        *((1031, extra) for extra in [(4,), (2, 4), (4, 3), (12,), (2, 12)]),
+    @pytest.mark.parametrize("p, a, b, extra, embeds", [
+        *((2003, -1, 0, extra, True) for extra in [(3,), (6,), (2, 3)]),
+        # Z/2 x Z/1002: E[3] is Z/3, so two generators of order 3 | m cannot embed
+        *((2003, -1, 0, extra, False) for extra in [(3, 6), (6, 3, 3)]),
+        *((1031, -1, 0, extra, True) for extra in [(4,), (4, 3), (12,)]),
+        *((1031, -1, 0, extra, False) for extra in [(2, 4), (2, 12)]),  # three even orders
+        # Z/12 x Z/84: E[3] is Z/3 x Z/3, so two generators of order 3 | m embed
+        *((1021, 0, 1, extra, True) for extra in [(3, 3), (3, 6), (3, 12)]),
+        (1021, 0, 1, (3, 3, 3), False),
     ])
-    def test_the_first_faithful_candidate_of_the_full_product_is_found(self, p, extra):
-        curve = CurveOverFp(p, -1, 0)
+    def test_the_first_faithful_candidate_of_the_full_product_is_found(
+        self, p, a, b, extra, embeds
+    ):
+        curve = CurveOverFp(p, a, b)
         bd = etale_with(1, extra)
         first = first_faithful_of_the_full_product(curve, bd.group_spec)
+        assert (first is not None) == embeds
         if first is None:
             with pytest.raises(ValueError, match=EMBED):
                 find_assignment(bd, curve)
         else:
             assert find_assignment(bd, curve).torsion_points == first
 
-    @pytest.mark.parametrize("orders", [(4, 4), (12, 12)])
-    def test_refused_where_no_candidate_of_the_full_product_is_faithful(self, orders, request):
-        """Every point of order 4 or 12 on Z/2 x Z/516 has one image (m/2)·P,
-        so the search tries one candidate where the full product has 16 or 64."""
+    @pytest.mark.parametrize("orders, tried", [((4, 4), 1), ((12, 12), 0)])
+    def test_refused_where_no_candidate_of_the_full_product_is_faithful(
+        self, orders, tried, request
+    ):
+        """Every point of order 4 on Z/2 x Z/516 has one image (m/2)·P, so the
+        search tries one candidate where the full product has 16.  Two orders
+        12 need two independent points of order 3, but E[3] is Z/3, so they are
+        refused before any search where the full product has 64 candidates."""
         curve = CurveOverFp(1031, -1, 0)
         bd = one_character(orders)
         assert first_faithful_of_the_full_product(curve, bd.group_spec) is None
         searched = request.getfixturevalue("searched")
         with pytest.raises(ValueError, match=EMBED):
             find_assignment(bd, curve)
-        assert len(searched) == 1
+        assert len(searched) == tried
 
 
 class TestTorsionFaithful:
-    """_torsion_faithful reads only the images (m/2)·P; the reference evaluates
-    every element of the model's 2-torsion on the curve."""
+    """_torsion_faithful reads only the images (m/ℓ)·P; the reference evaluates
+    every element of prime order of the model's torsion on the curve."""
 
-    @pytest.mark.parametrize("p, a, b", [(1031, -1, 0), (1031, 2, 3), (23, 1, 1)])
-    def test_matches_the_whole_two_torsion_on_every_assignment(self, p, a, b):
+    @pytest.mark.parametrize("p, a, b", [(1031, -1, 0), (1031, 2, 3), (23, 1, 1), (1021, 0, 1)])
+    def test_matches_every_element_of_prime_order_on_every_assignment(self, p, a, b):
         curve = CurveOverFp(p, a, b)
         killed_by = functools.cache(
             lambda m: [pt for pt in curve.points() if curve.scale(m, pt) is INFINITY])
         three_even = half_is_o = 0
-        for orders in [(2,), (4,), (2, 2), (2, 4), (4, 4), (6, 12), (2, 2, 2), (3,), (2, 3)]:
+        for orders in [(2,), (4,), (2, 2), (2, 4), (4, 4), (6, 12), (2, 2, 2), (3,), (2, 3),
+                       (3, 3), (3, 3, 3), (3, 9)]:
             bd = one_character(orders)
             for points in itertools.product(*map(killed_by, orders)):
                 got = curve_oracle._torsion_faithful(curve, bd, Assignment((), points))
-                want = faithful_by_two_torsion(curve, bd.group_spec, points)
+                want = faithful_prime_by_prime(curve, bd.group_spec, points)
                 assert got == want, (orders, points)
                 if sum(m % 2 == 0 for m in orders) == 3:
                     assert not got
@@ -570,17 +594,16 @@ def odd_torsion_family():
 
 
 class TestOddTorsion:
-    """Only the 2-torsion of the model is embedded faithfully: both order-3
-    generators take the first point of order 3, so t3 - t4 maps to O.  A
-    relation broken by t3 - t4 alone cannot be certified broken on the curve,
-    and the oracle refuses the data instead of judging it."""
+    """The curve's E[3] is Z/3 x Z/3, so the two order-3 generators go to
+    independent points and t3 - t4 does not map to O: a relation broken by
+    t3 - t4 alone is judged on the curve, and fails there as in the model."""
 
     curve = ["--oracle", "--oracle-prime", "1021", "--oracle-a", "0", "--oracle-b", "1"]
 
-    def verify(self, bd, tmp_path):
+    def verify(self, bd, tmp_path, *options):
         path = tmp_path / "odd.bd.json"
         path.write_text(dumps(bd))
-        return main(["verify", str(path), *self.curve])
+        return main(["verify", str(path), *self.curve, *options])
 
     def test_the_accepted_data_passes_the_oracle(self, tmp_path, capsys):
         assert self.verify(odd_torsion_family(), tmp_path) == 0
@@ -591,5 +614,12 @@ class TestOddTorsion:
         t3, t4 = bd.group_spec.torsion_generator(2), bd.group_spec.torsion_generator(3)
         L = dict(bd.L)
         L[Character.from_string("110")] += SurfaceClass(0, 0, t3 - t4)
-        assert self.verify(replace(bd, L=L), tmp_path) != 0
-        assert "relations: FAIL" in capsys.readouterr().out
+        broken = replace(bd, L=L)
+        assert self.verify(broken, tmp_path) == 1
+        out = capsys.readouterr().out
+        assert "relations: FAIL" in out
+        assert "oracle: curve order 1008, factors [12, 84], FAIL" in out
+        assert self.verify(broken, tmp_path, "--format", "json") == 1
+        failing = [[str(chi), str(other)] for chi, other in model_failures(broken)]
+        assert failing
+        assert json.loads(capsys.readouterr().out)["oracle"]["relation_failures"] == failing
