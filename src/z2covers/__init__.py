@@ -47,11 +47,9 @@ from .invariants import (
     CanonicalMapReport,
     CanonicalSystemDescription,
     CoverInvariants,
-    MinimalityEvidence,
     canonical_map_degree,
     canonical_system,
     compute_invariants,
-    minimality_evidence,
 )
 from .picard import (
     MapReport,
@@ -62,7 +60,6 @@ from .picard import (
     intersect,
     is_base_point_free,
     map_analysis,
-    rational_fiber_class,
 )
 
 __all__ = [
@@ -80,7 +77,6 @@ __all__ = [
     "GroupSpec",
     "INFINITY",
     "MapReport",
-    "MinimalityEvidence",
     "RealizationReport",
     "RelationRow",
     "SmoothnessReport",
@@ -101,11 +97,9 @@ __all__ = [
     "intersect",
     "is_base_point_free",
     "map_analysis",
-    "minimality_evidence",
     "nontrivial_characters",
     "nontrivial_elements",
     "pair",
-    "rational_fiber_class",
     "realize",
     "relations_table",
     "render_relations_table",

@@ -311,18 +311,20 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     spec = bd.group_spec
     _, (d1, d2) = curve.group_structure()
 
+    of_order: dict[int, list[_Point]] = {}  # the points of each order, as points() lists them
+    for pt in curve.points():
+        of_order.setdefault(curve.point_order(pt), []).append(pt)
     line: dict[_Point, _Point] = {}  # each point of prime order to the first of its line
     by_order: dict[int, list[_Point]] = {}
     for m in set(spec.torsion_orders):
         primes = _prime_factors(m)
         firsts: dict[tuple[_Point, ...], _Point] = {}  # the first point per tuple of lines
-        for pt in curve.points():
-            if curve.point_order(pt) == m:
-                h = [curve.scale(m // ell, pt) for ell in primes]
-                for ell, point in zip(primes, h):
-                    if point not in line:
-                        line.update((curve.scale(k, point), point) for k in range(1, ell))
-                firsts.setdefault(tuple(map(line.get, h)), pt)
+        for pt in of_order.get(m, ()):
+            h = [curve.scale(m // ell, pt) for ell in primes]
+            for ell, point in zip(primes, h):
+                if point not in line:
+                    line.update((curve.scale(k, point), point) for k in range(1, ell))
+            firsts.setdefault(tuple(map(line.get, h)), pt)
         if not firsts:
             raise ValueError(f"curve has no point of order {m}")
         by_order[m] = list(firsts.values())
@@ -348,7 +350,7 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
         raise ValueError(f"the model registers {len(bd.points_c)} points but the curve has "
                          f"only {curve.order()}, so no assignment keeps them apart")
     failed = {(f.chi, f.chi_prime) for f in verify_relations(bd).failures}
-    generator = next(pt for pt in curve.points() if curve.point_order(pt) == d2)
+    generator = of_order[d2][0]
     rng = random.Random(0)
     for _ in range(ATTEMPTS):
         multipliers = [rng.randrange(1, d2) for _ in range(spec.rank)]

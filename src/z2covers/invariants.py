@@ -19,6 +19,11 @@ reduced ramification divisors over the sigma with chi(sigma) = +1.  When
 a single character contributes and its correction is empty, the canonical
 map is the composition of the degree-2^n cover with the map of
 |K_Y + L_chi| on the base, and its degree follows by multiplication.
+
+The fibers E and F of the two rulings are nef, E.E = F.F = 0 and E.F = 1,
+and they span the classes up to numerical equivalence.  So S = a E + d F
+is nef and big exactly when a > 0 and d > 0, and then so is K_X: X is
+minimal and of general type.
 """
 
 from __future__ import annotations
@@ -28,17 +33,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .characters import Character, CoverElement, pair
-from .cover import BuildingData, Fiber, branch_class, verify_relations
-from .picard import (
-    SurfaceClass,
-    canonical_class,
-    elliptic_fiber_class,
-    h0,
-    intersect,
-    is_base_point_free,
-    map_analysis,
-    rational_fiber_class,
-)
+from .cover import BuildingData, Fiber, verify_relations
+from .picard import SurfaceClass, canonical_class, h0, intersect, is_base_point_free, map_analysis
 
 
 @dataclass(frozen=True)
@@ -48,6 +44,7 @@ class CoverInvariants:
     chi: int
     q: int
     h0_by_character: Mapping[Character, int]
+    nef_and_big: bool  # of K_X; when true, X is minimal of general type
 
     def __post_init__(self) -> None:
         if self.q != self.p_g - self.chi + 1:
@@ -101,7 +98,8 @@ def _evaluate(bd: BuildingData) -> CoverInvariants:
         chi_sum += term // 2
 
     p_g = sum(h0_by.values())
-    return CoverInvariants(k_squared, p_g, chi_sum, p_g - chi_sum + 1, h0_by)
+    nef_and_big = s.a > 0 and s.degree > 0
+    return CoverInvariants(k_squared, p_g, chi_sum, p_g - chi_sum + 1, h0_by, nef_and_big)
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,9 @@ class CanonicalMapReport:
     contributes to the canonical system.  The degree is left undefined
     (None, with a note) when the factorisation fails, when the
     ramification correction is nonempty, or when the canonical image is
-    not a surface.
+    not a surface.  With the image degree comes ``image_minimal_degree``:
+    whether it is p_g - 2, the least degree of a nondegenerate surface in
+    P^(p_g - 1).
     """
 
     factors_through_cover: bool
@@ -157,6 +157,7 @@ class CanonicalMapReport:
     image_degree: int | None
     base_point_free: bool | None
     note: str | None = None
+    image_minimal_degree: bool | None = None
 
 
 def canonical_map_degree(bd: BuildingData) -> CanonicalMapReport:
@@ -184,37 +185,6 @@ def canonical_map_degree(bd: BuildingData) -> CanonicalMapReport:
             True, None, None, free, note="canonical image is not a surface"
         )
     return CanonicalMapReport(
-        True, (1 << bd.n) * report.map_degree, report.image_degree, free
+        True, (1 << bd.n) * report.map_degree, report.image_degree, free,
+        image_minimal_degree=report.image_degree == invariants.p_g - 2,
     )
-
-
-@dataclass(frozen=True)
-class MinimalityEvidence:
-    """Finite nef-and-big evidence for S = 2 K_Y + total branch divisor.
-
-    2 K_X is the pullback of S, so S.S > 0 together with nonnegative
-    intersection against both rulings and every branch component witnesses
-    that K_X is nef and big on the curve classes present in the model.
-    """
-
-    divisor: SurfaceClass
-    self_intersection: int
-    intersections: tuple[tuple[str, int], ...]
-    nef_and_big: bool
-
-
-def minimality_evidence(bd: BuildingData) -> MinimalityEvidence:
-    _require_verified(bd)
-    spec = bd.group_spec
-    s = 2 * canonical_class(spec) + bd.total_branch_class()
-    checks: list[tuple[str, int]] = [
-        ("E", intersect(s, elliptic_fiber_class(spec))),
-        ("F", intersect(s, rational_fiber_class(spec))),
-    ]
-    for sigma in bd.elements:
-        for fiber in bd.branch(sigma):
-            component = branch_class((fiber,), bd.points_c, spec)
-            checks.append((f"{fiber.kind}:{fiber.label}", intersect(s, component)))
-    s2 = intersect(s, s)
-    nef_and_big = s2 > 0 and all(v >= 0 for _, v in checks)
-    return MinimalityEvidence(s, s2, tuple(checks), nef_and_big)

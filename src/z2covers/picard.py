@@ -80,13 +80,6 @@ def elliptic_fiber_class(spec: GroupSpec) -> SurfaceClass:
     return SurfaceClass(1, 0, spec.zero())
 
 
-def rational_fiber_class(spec: GroupSpec, aj: GroupElement | None = None) -> SurfaceClass:
-    """Class of the rational fiber over a point with degree-zero class aj."""
-    if aj is None:
-        aj = spec.zero()
-    return SurfaceClass(0, 1, aj)
-
-
 def canonical_class(spec: GroupSpec) -> SurfaceClass:
     """The canonical class of the product surface, -2E."""
     return SurfaceClass(-2, 0, spec.zero())

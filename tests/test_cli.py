@@ -15,6 +15,7 @@ from z2covers.characters import nontrivial_characters
 from z2covers.cli import main, verify_report
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.cover import BuildingData
+from z2covers.invariants import canonical_map_degree
 from z2covers.picard import SurfaceClass
 from z2covers.serialize import dumps, loads
 
@@ -234,6 +235,22 @@ class TestSweep:
         (row,) = json.loads(capsys.readouterr().out)["rows"]
         assert (row["k_squared"], row["p_g"], row["q"]) == (32, 4, 1)
         assert (row["image_degree"], row["degree"], row["base_point_free"]) == (2, 16, True)
+
+    def test_the_whole_range_follows_the_closed_forms(self, capsys):
+        """From n = 3 on: K^2 = 16n, p_g = 2n, q = 1, an image of degree 2n,
+        never the minimal p_g - 2, and a base point free map of degree 8.
+        At n = 2 the map has degree 16 onto the quadric."""
+        assert main(["sweep", "2..64", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["n"] for row in rows] == list(range(2, 65))
+        for row in rows:
+            n = row["n"]
+            closed = {"n": n, "k_squared": 16 * n, "p_g": 2 * n, "q": 1, "image_degree": 2 * n,
+                      "degree": 8, "base_point_free": True}
+            if n == 2:
+                closed.update(image_degree=2, degree=16)
+            assert row == closed
+            assert canonical_map_degree(construct_family(n)).image_minimal_degree is (n == 2)
 
     def test_reversed_range_is_a_usage_error(self):
         assert main(["sweep", "5..3"]) == 2

@@ -16,6 +16,7 @@ go through ``serialize.canonical_json``; the reference is again ``json.dumps``.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -525,10 +526,19 @@ def has_order(curve, point, m):
     return all(curve.scale(m // q, point) is not INFINITY for q in primes)
 
 
+@functools.cache
+def points_of_order(p, a, b, m):
+    """The points of order m on y^2 = x^3 + ax + b over F_p, in the order
+    ``points()`` lists them, each order tested on its own."""
+    curve = CurveOverFp(p, a, b)
+    return [pt for pt in curve.points() if has_order(curve, pt, m)]
+
+
 def reference_assignment(bd, curve, seed=0, attempts=400):
     """find_assignment's by-order scan, testing each order on its own, and the
     first candidate under which no element of prime order of the model's
-    torsion maps to O."""
+    torsion maps to O.  A draw is accepted when the registered points stay
+    apart and the curve fails every relation the model fails."""
     spec = bd.group_spec
 
     def phi(assignment, element):
@@ -539,8 +549,7 @@ def reference_assignment(bd, curve, seed=0, attempts=400):
         return total
 
     _, (_, d2) = curve.group_structure()
-    by_order = {m: [pt for pt in curve.points() if has_order(curve, pt, m)]
-                for m in set(spec.torsion_orders)}
+    by_order = {m: points_of_order(curve.p, curve.a, curve.b, m) for m in spec.torsion_orders}
 
     def prime_order(t):
         order = math.lcm(*(m // math.gcd(k, m) for k, m in zip(t, spec.torsion_orders)))
@@ -555,7 +564,8 @@ def reference_assignment(bd, curve, seed=0, attempts=400):
         if all(phi(Assignment((INFINITY,) * spec.rank, candidate), t) is not INFINITY
                for t in of_prime_order)
     )
-    generator = next(pt for pt in curve.points() if has_order(curve, pt, d2))
+    generator = points_of_order(curve.p, curve.a, curve.b, d2)[0]
+    failed = {(f.chi, f.chi_prime) for f in verify_relations(bd).failures}
     rng = random.Random(seed)
     ajs = list(bd.points_c.values())
     for _ in range(attempts):
@@ -563,7 +573,8 @@ def reference_assignment(bd, curve, seed=0, attempts=400):
         assignment = Assignment(tuple(curve.scale(c, generator) for c in multipliers),
                                 torsion_points)
         images = [phi(assignment, aj) for aj in ajs]
-        if len(set(images)) == len(images):
+        if len(set(images)) == len(images) and failed <= set(
+                realize(bd, curve, assignment).relation_failures):
             return assignment
     raise AssertionError("the reference found no assignment")
 
@@ -590,6 +601,20 @@ def test_find_assignment_matches_the_by_order_scan_and_computes_each_order_once(
     assert 0 < computed <= curve.order()
     monkeypatch.undo()
     assert assignment == reference_assignment(bd, CurveOverFp(p, -d * d, 0))
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_find_assignment_matches_the_by_order_scan_on_the_family_and_its_mutants(p):
+    """The points grouped by order keep the order of ``points()``, so each
+    search takes the assignment the scan per order takes."""
+    d = random.Random(p).randrange(1, p)
+    curve = CurveOverFp(p, -d * d, 0)
+    for n in (3, 8):
+        bd = construct_family(n)
+        mutants = [mutant for _, _, mutant in single_torsion_mutations(bd)]
+        assert len(mutants) == 21
+        for data in (bd, *mutants):
+            assert find_assignment(data, curve) == reference_assignment(data, curve)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)

@@ -1,5 +1,6 @@
 """Invariant formulas, canonical system, canonical map degree."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -11,14 +12,9 @@ from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, CoverElement, nontrivial_characters
 from z2covers.construction import construct_etale, construct_family
 from z2covers import invariants
-from z2covers.cover import BuildingData, Fiber, verify_relations, verify_smoothness
-from z2covers.invariants import (
-    canonical_map_degree,
-    canonical_system,
-    compute_invariants,
-    minimality_evidence,
-)
-from z2covers.picard import SurfaceClass, elliptic_fiber_class
+from z2covers.cover import BuildingData, Fiber, branch_class, verify_relations, verify_smoothness
+from z2covers.invariants import canonical_map_degree, canonical_system, compute_invariants
+from z2covers.picard import SurfaceClass, canonical_class, elliptic_fiber_class, intersect
 
 
 def chi(s):
@@ -198,6 +194,11 @@ class TestCanonicalMapDegree:
         bound = compute_invariants(bd).p_g - 2
         assert (image_degree == bound) == (n == 2)
         assert (image_degree, bound) == ((2, 2) if n == 2 else (2 * n, 2 * n - 2))
+        assert canonical_map_degree(bd).image_minimal_degree is (n == 2)
+
+    def test_no_image_degree_leaves_minimal_degree_undefined(self):
+        for bd in (two_contributor_variant(), single_contributor_with_ramification_correction()):
+            assert canonical_map_degree(bd).image_minimal_degree is None
 
 
 class TestHalvingChoiceInvariance:
@@ -209,17 +210,72 @@ class TestHalvingChoiceInvariance:
             assert compute_invariants(variant) == reference
 
 
+def adjoint_divisor(bd):
+    """S = 2 K_Y + the total branch divisor; 2 K_X is its pullback."""
+    return 2 * canonical_class(bd.group_spec) + bd.total_branch_class()
+
+
+def reference_nef_and_big(bd):
+    """S.S > 0, and S meets E, F and every branch component nonnegatively,
+    each component's class formed on its own by branch_class."""
+    spec, s = bd.group_spec, adjoint_divisor(bd)
+    curves = [elliptic_fiber_class(spec), SurfaceClass(0, 1, spec.zero())]
+    curves += [branch_class((fiber,), bd.points_c, spec)
+               for sigma in bd.elements for fiber in bd.branch(sigma)]
+    return intersect(s, s) > 0 and all(intersect(s, c) >= 0 for c in curves)
+
+
+def branched_on_six_elliptic_fibers():
+    """The Z_2 cover with D = six E fibers and L = 3E: S = 2E, nef but not big."""
+    spec = GroupSpec(0, ())
+    fibers = tuple(f"E{i}" for i in range(1, 7))
+    branch = {sigma("1"): tuple(Fiber("E", p) for p in fibers)}
+    return BuildingData(spec, {}, fibers, {chi("1"): SurfaceClass(3, 0, spec.zero())}, branch)
+
+
 class TestMinimality:
+    """``CoverInvariants.nef_and_big`` reads the two coefficients of S; the
+    reference tests S curve by curve."""
+
     def test_family_adjoint_divisor_is_nef_and_big(self):
-        evidence = minimality_evidence(construct_family(3))
-        assert evidence.self_intersection == 24
-        assert all(v >= 0 for _, v in evidence.intersections)
-        assert evidence.nef_and_big
+        bd = construct_family(3)
+        s = adjoint_divisor(bd)
+        assert intersect(s, s) == 24
+        assert compute_invariants(bd).nef_and_big
 
     def test_etale_case_is_not_big(self):
-        evidence = minimality_evidence(construct_etale(3))
-        assert evidence.self_intersection == 0
-        assert not evidence.nef_and_big
+        s = adjoint_divisor(construct_etale(3))
+        assert intersect(s, s) == 0
+        assert not compute_invariants(construct_etale(3)).nef_and_big
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_family_with_random_halvings(self, n):
+        rng = random.Random(n)
+        bd = construct_family(n, [rng.randrange(4) for _ in range(n)])
+        assert compute_invariants(bd).nef_and_big is reference_nef_and_big(bd) is True
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_etale(self, k):
+        bd = construct_etale(k)
+        assert adjoint_divisor(bd) == -4 * elliptic_fiber_class(bd.group_spec)
+        assert compute_invariants(bd).nef_and_big is reference_nef_and_big(bd) is False
+
+    def test_branched_on_elliptic_fibers_only_is_nef_but_not_big(self):
+        bd = branched_on_six_elliptic_fibers()
+        assert verify_relations(bd).ok
+        assert adjoint_divisor(bd) == 2 * elliptic_fiber_class(bd.group_spec)
+        assert compute_invariants(bd).nef_and_big is reference_nef_and_big(bd) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(building_data())
+    def test_every_verified_random_datum(self, case):
+        bd, _ = case
+        verified = verify_relations(bd).ok
+        event(f"verified: {verified}")
+        if verified:
+            expected = reference_nef_and_big(bd)
+            event(f"nef and big: {expected}")
+            assert compute_invariants(bd).nef_and_big is expected
 
 
 class TestNoether:
