@@ -5,7 +5,6 @@ Run:  python demos/01_build_and_verify.py
 
 from z2covers import (
     canonical_map_degree,
-    canonical_system,
     compute_invariants,
     construct_family,
     verify_relations,
@@ -39,8 +38,8 @@ print("sections by character:")
 for chi, value in sorted(invariants.h0_by_character.items()):
     print(f"  h0(K_Y + L_{chi}) = {value}")
 
-description = canonical_system(bd)
-print(f"\ncontributing characters: {[str(c) for c in description.contributing]}")
+contributing = [str(chi) for chi, value in invariants.h0_by_character.items() if value]
+print(f"\ncontributing characters: {contributing}")
 
 canonical = canonical_map_degree(bd)
 print(

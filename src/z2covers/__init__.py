@@ -45,10 +45,8 @@ from .curve_oracle import (
 )
 from .invariants import (
     CanonicalMapReport,
-    CanonicalSystemDescription,
     CoverInvariants,
     canonical_map_degree,
-    canonical_system,
     compute_invariants,
 )
 from .picard import (
@@ -66,7 +64,6 @@ __all__ = [
     "Assignment",
     "BuildingData",
     "CanonicalMapReport",
-    "CanonicalSystemDescription",
     "Character",
     "ConsistencyError",
     "CoverElement",
@@ -85,7 +82,6 @@ __all__ = [
     "branch_class",
     "canonical_class",
     "canonical_map_degree",
-    "canonical_system",
     "compute_invariants",
     "construct_etale",
     "construct_family",

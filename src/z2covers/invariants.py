@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .characters import Character, CoverElement, pair
-from .cover import BuildingData, Fiber, verify_relations
-from .picard import SurfaceClass, canonical_class, h0, intersect, is_base_point_free, map_analysis
+from .characters import Character, pair
+from .cover import BuildingData, verify_relations
+from .picard import canonical_class, h0, intersect, is_base_point_free, map_analysis
 
 
 @dataclass(frozen=True)
@@ -103,43 +103,6 @@ def _evaluate(bd: BuildingData) -> CoverInvariants:
 
 
 @dataclass(frozen=True)
-class CanonicalGenerator:
-    """One contributing character with its generator of the canonical system.
-
-    ``line_class`` is K_Y + L_chi.  ``ramification`` lists the nonempty
-    branch divisors over group elements fixed by the character (the sigma
-    with chi(sigma) = +1); their reduced preimages correct the pullback.
-    """
-
-    character: Character
-    line_class: SurfaceClass
-    ramification: tuple[tuple[CoverElement, tuple[Fiber, ...]], ...]
-
-
-@dataclass(frozen=True)
-class CanonicalSystemDescription:
-    contributing: tuple[Character, ...]
-    generators: tuple[CanonicalGenerator, ...]
-
-
-def canonical_system(bd: BuildingData) -> CanonicalSystemDescription:
-    """Characters with h^0(K_Y + L_chi) > 0 and their generator descriptions.
-    Refuses unverified data, as :func:`compute_invariants` does."""
-    h0_by = compute_invariants(bd).h0_by_character
-    ky = canonical_class(bd.group_spec)
-    contributing = tuple(chi for chi in bd.characters if h0_by[chi] > 0)
-    generators = []
-    for chi in contributing:
-        correction = tuple(
-            (sigma, bd.branch(sigma))
-            for sigma in bd.elements
-            if pair(chi, sigma) == 1 and bd.branch(sigma)
-        )
-        generators.append(CanonicalGenerator(chi, bd.L[chi] + ky, correction))
-    return CanonicalSystemDescription(contributing, tuple(generators))
-
-
-@dataclass(frozen=True)
 class CanonicalMapReport:
     """Degree analysis of the canonical map.
 
@@ -164,20 +127,20 @@ def canonical_map_degree(bd: BuildingData) -> CanonicalMapReport:
     invariants = compute_invariants(bd)
     if invariants.p_g < 3:
         raise ValueError("canonical image of a surface needs p_g >= 3")
-    description = canonical_system(bd)
-    if len(description.contributing) != 1:
+    contributing = [chi for chi, sections in invariants.h0_by_character.items() if sections]
+    if len(contributing) != 1:
         return CanonicalMapReport(
             False, None, None, None,
             note="several characters contribute to the canonical system",
         )
-    generator = description.generators[0]
-    if generator.ramification:
+    (chi,) = contributing
+    if any(bd.branch(sigma) for sigma in bd.elements if pair(chi, sigma) == 1):
         return CanonicalMapReport(
             True, None, None, None,
             note="nonempty ramification correction; the canonical system is "
             "strictly larger than the pullback system",
         )
-    u = generator.line_class
+    u = bd.L[chi] + canonical_class(bd.group_spec)
     report = map_analysis(u)
     free = is_base_point_free(u)
     if report.image_dim != 2:

@@ -5,7 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,6 +15,7 @@ from z2covers.characters import nontrivial_characters
 from z2covers.cli import main, verify_report
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.cover import BuildingData
+from z2covers.curve_oracle import RealizationReport
 from z2covers.invariants import canonical_map_degree
 from z2covers.picard import SurfaceClass
 from z2covers.serialize import dumps, loads
@@ -130,6 +131,26 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["relations"]["ok"] is True
         assert report["oracle"]["ok"] is False
+
+    def test_the_oracle_section_names_the_points_that_collide(
+        self, family_file, monkeypatch, capsys
+    ):
+        # F1 and F2 are the free generators 3 and 4 of the family's model.
+        real = cli.find_assignment
+
+        def merged(bd, curve):
+            assignment = real(bd, curve)
+            free = list(assignment.free_points)
+            free[4] = free[3]
+            return replace(assignment, free_points=tuple(free))
+
+        monkeypatch.setattr(cli, "find_assignment", merged)
+        assert main(["verify", str(family_file), "--oracle", "--format", "json"]) == 1
+        oracle = json.loads(capsys.readouterr().out)["oracle"]
+        header = {"prime", "a", "b", "order", "invariant_factors"}
+        assert set(oracle) == header | {field.name for field in fields(RealizationReport)}
+        assert oracle["collisions"] == [["F1", "F2"]]
+        assert (oracle["ok"], oracle["injective"]) == (False, False)
 
     @pytest.mark.parametrize(
         "flags",
@@ -353,17 +374,18 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, family_file, capsys, argv)
 # Recorded reports: a key or byte that the rendering of the verdicts loses or
 # changes fails here.
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
+# One run a line: the golden file, the exit code, the argv.  The CI workflow
+# replays the same file with the command line.
+RUNS = GOLDEN / "golden_runs.txt"
 GOLDEN_RUNS = [
-    ("verify_family3.txt", ["verify", "family3"], 0),
-    ("verify_family3.json", ["verify", "family3", "--format", "json"], 0),
-    ("verify_mutant3.txt", ["verify", "mutant3"], 1),
-    ("verify_mutant3.json", ["verify", "mutant3", "--format", "json"], 1),
-    ("verify_etale3.txt", ["verify", "etale3"], 0),
-    ("verify_etale3.json", ["verify", "etale3", "--format", "json"], 0),
-    ("verify_oracle_family3.json", ["verify", "family3", "--oracle", "--format", "json"], 0),
-    ("table_family3.json", ["table", "family3", "--format", "json"], 0),
-    ("sweep_2_6.json", ["sweep", "2..6", "--format", "json"], 0),
+    (golden, argv, int(code))
+    for golden, code, *argv in map(str.split, RUNS.read_text(encoding="utf-8").splitlines())
 ]
+
+
+def test_every_recorded_report_has_one_run():
+    recorded = sorted(path.name for path in GOLDEN.glob("*.*") if path != RUNS)
+    assert sorted(run[0] for run in GOLDEN_RUNS) == recorded
 
 
 @pytest.mark.parametrize("golden, argv, code", GOLDEN_RUNS, ids=[run[0] for run in GOLDEN_RUNS])

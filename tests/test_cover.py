@@ -9,7 +9,7 @@ import pytest
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, CoverElement, nontrivial_characters, nontrivial_elements
 from z2covers.cli import main
-from z2covers.construction import construct_etale, construct_family
+from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.cover import (
     BuildingData,
     ConsistencyError,
@@ -125,6 +125,31 @@ def nodal_double_cover():
     return BuildingData(spec, points_c, points_p1, L, D)
 
 
+def moved_rational_fiber():
+    """Family n = 3 with one F fiber moved from 111 to 100, beside elliptic fibers."""
+    bd = construct_family(3)
+    d = dict(bd.D)
+    moved, *rest = d[sigma("111")]
+    d[sigma("111")], d[sigma("100")] = tuple(rest), d[sigma("100")] + (moved,)
+    return replace(bd, D=d)
+
+
+def repeated_component():
+    """Family n = 3 with the first E fiber repeated in the branch over 101."""
+    bd = construct_family(3)
+    d = dict(bd.D)
+    d[sigma("101")] = (Fiber("E", bd.points_p1[0]), d[sigma("101")][1])
+    return replace(bd, D=d)
+
+
+def two_points_of_one_class():
+    """Two registered points P, Q of one degree-zero class."""
+    spec = GroupSpec(1, (2, 2))
+    p = spec.free_generator(0)
+    L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
+    return BuildingData(spec, {"P": p, "Q": p}, (), L, {})
+
+
 class TestVerifySmoothness:
     def test_family_data_is_smooth(self):
         report = verify_smoothness(construct_family(3))
@@ -144,36 +169,49 @@ class TestVerifySmoothness:
         assert main(["verify", str(path)]) == 1
         out = capsys.readouterr().out
         assert "snc=True" in out and "independent_crossings=False" in out
-        assert "K^2=-4" in out
+        assert "invariants:" not in out
         assert main(["verify", str(path), "--format", "json"]) == 1
-        assert json.loads(capsys.readouterr().out)["smoothness"]["independent_crossings"] is False
+        report = json.loads(capsys.readouterr().out)
+        assert report["smoothness"]["independent_crossings"] is False
+        assert report["invariants"] is None and report["canonical_map"] is None
 
     def test_a_rational_fiber_moved_beside_elliptic_ones_is_a_defect(self):
-        bd = construct_family(3)
-        d = dict(bd.D)
-        moved, *rest = d[sigma("111")]
-        d[sigma("111")], d[sigma("100")] = tuple(rest), d[sigma("100")] + (moved,)
-        report = verify_smoothness(replace(bd, D=d))
+        report = verify_smoothness(moved_rational_fiber())
         assert report.snc and not report.independent_crossings
 
     def test_component_repeated_across_branches_breaks_reducedness(self):
-        bd = construct_family(3)
-        e1 = Fiber("E", bd.points_p1[0])
-        d = dict(bd.D)
-        d[sigma("101")] = (e1, d[sigma("101")][1])
-        report = verify_smoothness(replace(bd, D=d))
+        report = verify_smoothness(repeated_component())
         assert not report.reduced
         assert not report.snc
 
     def test_equal_degree_zero_classes_break_injectivity(self):
-        spec = GroupSpec(1, (2, 2))
-        p = spec.free_generator(0)
-        points = {"P": p, "Q": p}
-        L = {c: SurfaceClass(1, 0, spec.zero()) for c in nontrivial_characters(3)}
-        report = verify_smoothness(BuildingData(spec, points, (), L, {}))
+        report = verify_smoothness(two_points_of_one_class())
         assert not report.injective_points
         assert not report.snc
         assert report.reduced
+
+
+@pytest.mark.parametrize(
+    "bd",
+    [
+        construct_family(3),
+        next(single_torsion_mutations(construct_family(3)))[2],
+        construct_etale(3),
+        nodal_double_cover(),
+        moved_rational_fiber(),
+        repeated_component(),
+        two_points_of_one_class(),
+    ],
+    ids=["family-3", "mutant", "etale-3", "nodal", "moved-F", "repeated", "one-class"],
+)
+def test_verify_states_invariants_exactly_for_the_data_it_accepts(bd, tmp_path, capsys):
+    path = tmp_path / "case.bd.json"
+    path.write_text(dumps(bd))
+    code = main(["verify", str(path), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code in (0, 1)
+    assert (report["invariants"] is not None) == (code == 0)
+    assert (report["canonical_map"] is not None) == (code == 0)
 
 
 class TestDeriveFromGenerators:

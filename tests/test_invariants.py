@@ -9,12 +9,20 @@ from hypothesis import event, given, settings
 from test_cover import nodal_double_cover
 from test_relations import building_data
 from z2covers.abgroup import GroupSpec
-from z2covers.characters import Character, CoverElement, nontrivial_characters
+from z2covers.characters import Character, CoverElement, nontrivial_characters, pair
 from z2covers.construction import construct_etale, construct_family
 from z2covers import invariants
 from z2covers.cover import BuildingData, Fiber, branch_class, verify_relations, verify_smoothness
-from z2covers.invariants import canonical_map_degree, canonical_system, compute_invariants
-from z2covers.picard import SurfaceClass, canonical_class, elliptic_fiber_class, intersect
+from z2covers.invariants import CanonicalMapReport, canonical_map_degree, compute_invariants
+from z2covers.picard import (
+    SurfaceClass,
+    canonical_class,
+    elliptic_fiber_class,
+    h0,
+    intersect,
+    is_base_point_free,
+    map_analysis,
+)
 
 
 def chi(s):
@@ -111,35 +119,106 @@ def single_contributor_with_ramification_correction():
     return BuildingData(spec, {}, fibers, L, branch)
 
 
+def contributing(bd):
+    """The characters with sections, as the invariants pass lists them."""
+    return [str(c) for c, value in compute_invariants(bd).h0_by_character.items() if value]
+
+
+def reference_canonical_system(bd):
+    """Per character with h0(K_Y + L_chi) > 0, in ``bd.characters`` order: the
+    character, its line class K_Y + L_chi and its ramification list, the
+    nonempty branch divisors over the sigma with chi(sigma) = +1."""
+    ky = canonical_class(bd.group_spec)
+    return [
+        (c, bd.L[c] + ky, [(s, bd.branch(s)) for s in bd.elements
+                           if pair(c, s) == 1 and bd.branch(s)])
+        for c in bd.characters
+        if h0(bd.L[c] + ky) > 0
+    ]
+
+
+def reference_canonical_map_degree(bd):
+    """The canonical map read off the generators of reference_canonical_system."""
+    generators = reference_canonical_system(bd)
+    p_g = sum(h0(line) for _, line, _ in generators)
+    if p_g < 3:
+        raise ValueError("canonical image of a surface needs p_g >= 3")
+    if len(generators) != 1:
+        return CanonicalMapReport(
+            False, None, None, None,
+            note="several characters contribute to the canonical system",
+        )
+    ((_, line, ramification),) = generators
+    if ramification:
+        return CanonicalMapReport(
+            True, None, None, None,
+            note="nonempty ramification correction; the canonical system is "
+            "strictly larger than the pullback system",
+        )
+    report, free = map_analysis(line), is_base_point_free(line)
+    if report.image_dim != 2:
+        return CanonicalMapReport(True, None, None, free, note="canonical image is not a surface")
+    return CanonicalMapReport(
+        True, (1 << bd.n) * report.map_degree, report.image_degree, free,
+        image_minimal_degree=report.image_degree == p_g - 2,
+    )
+
+
 class TestCanonicalSystem:
     def test_family_has_one_generator_with_empty_correction(self):
         bd = construct_family(3)
-        description = canonical_system(bd)
-        assert description.contributing == (chi("100"),)
-        (generator,) = description.generators
-        assert generator.line_class.a == 1
-        assert generator.line_class.degree == 3
-        assert generator.ramification == ()
+        assert contributing(bd) == ["100"]
+        ((_, line, ramification),) = reference_canonical_system(bd)
+        assert (line.a, line.degree) == (1, 3)
+        assert ramification == []
+        assert canonical_map_degree(bd).note is None
 
     def test_two_contributors_give_two_generators(self):
         bd = two_contributor_variant()
         assert verify_relations(bd).ok
-        description = canonical_system(bd)
-        assert [str(c) for c in description.contributing] == ["010", "100"]
-        assert len(description.generators) == 2
+        assert contributing(bd) == ["010", "100"]
+        assert len(reference_canonical_system(bd)) == 2
+        report = canonical_map_degree(bd)
+        assert report.note == "several characters contribute to the canonical system"
 
     def test_empty_system_when_nothing_contributes(self):
-        description = canonical_system(construct_etale(3))
-        assert description.contributing == ()
-        assert compute_invariants(construct_etale(3)).p_g == 0
+        bd = construct_etale(3)
+        assert contributing(bd) == []
+        assert compute_invariants(bd).p_g == 0
 
     def test_p_g_equals_the_dimension_count_of_the_generators(self):
-        from z2covers.picard import h0
-
         for bd in (construct_family(2), construct_family(5), two_contributor_variant()):
             inv = compute_invariants(bd)
-            description = canonical_system(bd)
-            assert inv.p_g == sum(h0(g.line_class) for g in description.generators)
+            assert inv.p_g == sum(h0(line) for _, line, _ in reference_canonical_system(bd))
+            ky = canonical_class(bd.group_spec)
+            assert dict(inv.h0_by_character) == {c: h0(bd.L[c] + ky) for c in bd.characters}
+
+
+class TestCanonicalMapMatchesTheReference:
+    """canonical_map_degree against the generator-by-generator reference."""
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_family_with_random_halvings(self, n):
+        rng = random.Random(n)
+        bd = construct_family(n, [rng.randrange(4) for _ in range(n)])
+        assert canonical_map_degree(bd) == reference_canonical_map_degree(bd)
+
+    def test_the_variants_that_leave_the_degree_undefined(self):
+        for bd in (two_contributor_variant(), single_contributor_with_ramification_correction()):
+            report = canonical_map_degree(bd)
+            assert report.degree is None
+            assert report == reference_canonical_map_degree(bd)
+
+    @settings(max_examples=300, deadline=None)
+    @given(building_data())
+    def test_every_verified_random_datum_with_three_sections(self, case):
+        bd, _ = case
+        eligible = verify_relations(bd).ok and compute_invariants(bd).p_g >= 3
+        event(f"verified with p_g >= 3: {eligible}")
+        if eligible:
+            report = canonical_map_degree(bd)
+            event(f"note: {report.note}")
+            assert report == reference_canonical_map_degree(bd)
 
 
 class TestCanonicalMapDegree:
@@ -164,10 +243,9 @@ class TestCanonicalMapDegree:
     def test_nonempty_ramification_correction_leaves_degree_undefined(self):
         bd = single_contributor_with_ramification_correction()
         assert verify_relations(bd).ok
-        description = canonical_system(bd)
-        assert [str(c) for c in description.contributing] == ["110"]
-        (generator,) = description.generators
-        assert generator.ramification != ()
+        assert contributing(bd) == ["110"]
+        ((_, _, ramification),) = reference_canonical_system(bd)
+        assert ramification == [(sigma("001"), bd.branch(sigma("001")))]
         report = canonical_map_degree(bd)
         assert report.factors_through_cover is True
         assert report.degree is None
