@@ -8,7 +8,10 @@ found by exhaustive enumeration (no point counting tricks), the group
 structure by brute-force order computation, once per pair {P, -P} since
 ord(-P) = ord(P), which keeps the oracle independent of the algebra it
 audits.  A point is the tuple (x, y) of coordinates reduced mod p, and the
-point at infinity O is None (:data:`INFINITY`).
+point at infinity O is None (:data:`INFINITY`).  The group law inverts each
+slope's denominator d exactly, ``pow(d, -1, p)`` as in
+:func:`abgroup.halvings`, and refuses a zero denominator with ``ValueError``:
+only an unreduced alias or a point off the curve gives one.
 
 Free generators of the abstract model cannot map to infinite-order points
 over a finite field, so a map to the curve may send a nonzero combination
@@ -81,6 +84,10 @@ class CurveOverFp:
         return x, -y % self.p
 
     def add(self, p1: _Point, p2: _Point) -> _Point:
+        """The chord-tangent sum of two points of the curve, each reduced mod p
+        (see :meth:`contains`).  The slope's denominator is inverted exactly,
+        ``pow(d, -1, p)``; a zero denominator, which only an unreduced alias or
+        a point off the curve gives, raises ``ValueError``."""
         if p1 is None:
             return p2
         if p2 is None:
@@ -90,9 +97,9 @@ class CurveOverFp:
         if x1 == x2 and (y1 + y2) % p == 0:
             return INFINITY
         if p1 == p2:
-            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, p - 2, p) % p
+            slope = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p) % p
         else:
-            slope = (y2 - y1) * pow((x2 - x1) % p, p - 2, p) % p
+            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
         x3 = (slope * slope - x1 - x2) % p
         return x3, (slope * (x1 - x3) - y1) % p
 

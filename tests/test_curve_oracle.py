@@ -112,7 +112,10 @@ class TestGroupLaw:
 _shared_curve = functools.cache(CurveOverFp)
 
 
-@pytest.mark.parametrize("p,a,b", [(11, -1, 0), (13, 2, 3), (23, 1, 1), (29, 0, 7)])
+MORE_CURVES = [(11, -1, 0), (13, 2, 3), (23, 1, 1), (29, 0, 7)]
+
+
+@pytest.mark.parametrize("p,a,b", MORE_CURVES)
 class TestGroupLawOnMoreCurves:
     """The group law over whole addition tables, beyond y^2 = x^3 - x at 7:
     Z/2 x Z/6 at 11, then three cyclic groups, the last with a = 0, b != 0."""
@@ -249,8 +252,10 @@ class TestRealization:
         found = find_assignment(self.bd, curve)
         point = found.free_points[0]
         unreduced = (point[0] + dx, point[1] + dy)
-        # The group law compares raw coordinates, so the sum comes out wrong.
-        assert curve.add(unreduced, point) != curve.add(point, point)
+        # The group law compares raw coordinates, so the alias meets its point
+        # as a chord with a zero denominator, which add refuses.
+        with pytest.raises(ValueError):
+            curve.add(unreduced, point)
         assert not curve.contains(unreduced)
         bad = replace(found, free_points=(unreduced, *found.free_points[1:]))
         with pytest.raises(ValueError, match="is not on"):
@@ -335,6 +340,67 @@ class TestSoundness:
         for _, _, mutant in single_torsion_mutations(construct_family(3)):
             report = realize(mutant, curve, find_assignment(mutant, curve))
             assert report.relation_failures and not report.ok
+
+
+def fermat_add(curve, p1, p2):
+    """The group law with each slope inverted by Fermat's little theorem,
+    d^(p-2) = d^-1, a reference for the exact inverse of CurveOverFp.add."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    p = curve.p
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return INFINITY
+    if p1 == p2:
+        slope = (3 * x1 * x1 + curve.a) * pow(2 * y1, p - 2, p) % p
+    else:
+        slope = (y2 - y1) * pow((x2 - x1) % p, p - 2, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+class FermatCurve(CurveOverFp):
+    add = fermat_add
+
+
+class TestExactInverse:
+    """add inverts each slope exactly; on reduced points of the curve it is the
+    Fermat group law, and it refuses the zero denominator that law hid."""
+
+    @pytest.mark.parametrize("p,a,b", MORE_CURVES)
+    def test_add_matches_the_fermat_law_on_every_ordered_pair(self, p, a, b):
+        curve = _shared_curve(p, a, b)
+        points = curve.points()
+        for p1, p2 in itertools.product(points, repeat=2):
+            assert curve.add(p1, p2) == fermat_add(curve, p1, p2)
+
+    @pytest.mark.parametrize("p", [1123, 2083])
+    def test_the_oracle_stages_match_the_fermat_law_on_the_family_and_its_mutants(self, p):
+        curve, reference = witness(p), FermatCurve(p, -WITNESS_D[p] ** 2, 0)
+        assert curve.group_structure() == reference.group_structure()
+        bd = construct_family(3)
+        mutants = [mutant for _, _, mutant in single_torsion_mutations(bd)]
+        assert len(mutants) == 21
+        for data in (bd, *mutants):
+            assignment = find_assignment(data, curve)
+            assert assignment == find_assignment(data, reference)
+            assert realize(data, curve, assignment) == realize(data, reference, assignment)
+
+    def test_a_zero_denominator_is_refused(self):
+        # Neither point is on y^2 = x^3 + x + 1; the Fermat law read
+        # pow(0, p - 2, p) = 0 as the slope's inverse and returned (9, 9).
+        curve = CurveOverFp(11, 1, 1)
+        assert fermat_add(curve, (1, 2), (1, 3)) == (9, 9)
+        with pytest.raises(ValueError):
+            curve.add((1, 2), (1, 3))
+
+    def test_a_raw_x_alias_is_refused(self):
+        curve = CurveOverFp(11, 1, 1)
+        for x, y in curve.points()[1:]:
+            with pytest.raises(ValueError):
+                curve.add((x + curve.p, y), (x, y))
 
 
 def shared_class_family():
