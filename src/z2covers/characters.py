@@ -95,9 +95,6 @@ class Character(_BitVector):
 
     __mul__ = _BitVector._xor
 
-    def __call__(self, sigma: CoverElement) -> int:
-        return pair(self, sigma)
-
     def is_trivial(self) -> bool:
         return not self.mask
 

@@ -4,14 +4,16 @@ The abstract group model asserts linear-equivalence identities among
 finitely many points with bounded integer coefficients.  This module
 re-checks every one of them with honest chord-tangent arithmetic on an
 explicit curve y^2 = x^3 + ax + b over F_p, at desk scale: points are
-found by exhaustive enumeration (no point counting tricks), the group
-structure by brute-force order computation, once per pair {P, -P} since
-ord(-P) = ord(P), which keeps the oracle independent of the algebra it
-audits.  A point is the tuple (x, y) of coordinates reduced mod p, and the
-point at infinity O is None (:data:`INFINITY`).  The group law inverts each
-slope's denominator d exactly, ``pow(d, -1, p)`` as in
-:func:`abgroup.halvings`, and refuses a zero denominator with ``ValueError``:
-only an unreduced alias or a point off the curve gives one.
+found by exhaustive enumeration (no point counting tricks) and ordered by
+brute force, which keeps the oracle independent of the algebra it audits.
+The curve's one table of orders, :attr:`CurveOverFp.points_by_order`, is one
+pass that factors the group order once and orders one point of each pair
+{P, -P}; ``group_structure`` and ``find_assignment`` both read it.  A point
+is the tuple (x, y) of coordinates reduced mod p, and the point at infinity O
+is None (:data:`INFINITY`).  The group law inverts each slope's denominator d
+exactly, ``pow(d, -1, p)`` as in :func:`abgroup.halvings`, and refuses a zero
+denominator with ``ValueError``: only an unreduced alias or a point off the
+curve gives one.
 
 Free generators of the abstract model cannot map to infinite-order points
 over a finite field, so a map to the curve may send a nonzero combination
@@ -29,8 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd
+from functools import cached_property, reduce
 
 from .abgroup import GroupElement
 from .characters import Character
@@ -62,8 +63,6 @@ class CurveOverFp:
         if (4 * self.a**3 + 27 * self.b**2) % p == 0:
             raise ValueError("singular curve: 4a^3 + 27b^2 = 0 mod p")
         self._points: tuple[_Point, ...] | None = None
-        self._structure: tuple[int, tuple[int, int]] | None = None
-        self._orders: dict[_Point, int] = {}
 
     def __repr__(self) -> str:
         return f"y^2 = x^3 + {self.a}x + {self.b} over F_{self.p}"
@@ -134,36 +133,39 @@ class CurveOverFp:
     def order(self) -> int:
         return len(self.points())
 
-    def point_order(self, point: _Point) -> int:
-        """Order of a point, reduced from the group order prime by prime and
-        kept for both points of {P, -P}, since ord(-P) = ord(P); group_structure
-        and find_assignment read the same orders."""
-        order = self._orders.get(point)
-        if order is None:
-            n = order = self.order()
-            for q in _prime_factors(n):
-                while order % q == 0 and self.scale(order // q, point) is None:
-                    order //= q
-            self._orders[point] = self._orders[self.negate(point)] = order
+    def point_order(self, point: _Point, primes: tuple[int, ...] | None = None) -> int:
+        """Order of a point, reduced from the group order N by each prime of N:
+        ``primes`` when the caller has factored N, else N factored here."""
+        order = self.order()
+        for q in _prime_factors(order) if primes is None else primes:
+            while order % q == 0 and self.scale(order // q, point) is None:
+                order //= q
         return order
+
+    @cached_property
+    def points_by_order(self) -> dict[int, tuple[_Point, ...]]:
+        """The points of each order, as :meth:`points` lists them: the curve's
+        one table of point orders, made in one pass that factors N once and
+        orders one point of each pair {P, -P}, since ord(-P) = ord(P)."""
+        primes = _prime_factors(self.order())
+        order_of: dict[_Point, int] = {}
+        table: dict[int, list[_Point]] = {}
+        for point in self.points():
+            if point not in order_of:
+                order_of[point] = order_of[self.negate(point)] = self.point_order(point, primes)
+            table.setdefault(order_of[point], []).append(point)
+        return {m: tuple(points) for m, points in table.items()}
 
     def group_structure(self) -> tuple[int, tuple[int, int]]:
         """(N, (d1, d2)) with the group isomorphic to Z/d1 x Z/d2, d1 | d2, and
-        d2 the exponent: the lcm of all point orders."""
-        if self._structure is not None:
-            return self._structure
-        n = self.order()
-        exponent = 1
-        for point in self.points():
-            order = self.point_order(point)
-            exponent = exponent * order // gcd(exponent, order)
-            if exponent == n:
-                break
-        d1, d2 = n // exponent, exponent
+        d2 the exponent, which in a finite abelian group is the largest point
+        order.  It is read off :attr:`points_by_order`, so the first call
+        orders every point, on a cyclic curve too."""
+        n, d2 = self.order(), max(self.points_by_order)
+        d1 = n // d2
         if d2 % d1:
             raise ValueError("point orders inconsistent with a rank-2 abelian group")
-        self._structure = (n, (d1, d2))
-        return self._structure
+        return n, (d1, d2)
 
     def two_torsion_points(self) -> tuple[_Point, ...]:
         """Solutions of 2P = O: infinity plus the points with y = 0."""
@@ -307,8 +309,8 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     only the first point of each tuple of lines <(m/ℓ)·P> is tried, and the
     first faithful candidate is the one the product of all points would give;
     more generators with ℓ | m than the curve's ℓ-rank are refused before any
-    search.  Free generators are mapped to multiples of a point of maximal
-    order, the multipliers drawn from ``random.Random(0)``.  The first of
+    search.  Free generators are mapped to multiples of the first point of
+    order d2, the multipliers drawn from ``random.Random(0)``.  The first of
     :data:`ATTEMPTS` draws whose :func:`realize` report is injective and fails
     every relation the model fails is accepted, so the curve mends none; one
     only the curve fails still reaches the report.  Two registered points of
@@ -317,16 +319,12 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
     """
     spec = bd.group_spec
     _, (d1, d2) = curve.group_structure()
-
-    of_order: dict[int, list[_Point]] = {}  # the points of each order, as points() lists them
-    for pt in curve.points():
-        of_order.setdefault(curve.point_order(pt), []).append(pt)
     line: dict[_Point, _Point] = {}  # each point of prime order to the first of its line
     by_order: dict[int, list[_Point]] = {}
     for m in set(spec.torsion_orders):
         primes = _prime_factors(m)
         firsts: dict[tuple[_Point, ...], _Point] = {}  # the first point per tuple of lines
-        for pt in of_order.get(m, ()):
+        for pt in curve.points_by_order.get(m, ()):
             h = [curve.scale(m // ell, pt) for ell in primes]
             for ell, point in zip(primes, h):
                 if point not in line:
@@ -357,7 +355,7 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
         raise ValueError(f"the model registers {len(bd.points_c)} points but the curve has "
                          f"only {curve.order()}, so no assignment keeps them apart")
     failed = {(f.chi, f.chi_prime) for f in verify_relations(bd).failures}
-    generator = of_order[d2][0]
+    generator = curve.points_by_order[d2][0]
     rng = random.Random(0)
     for _ in range(ATTEMPTS):
         multipliers = [rng.randrange(1, d2) for _ in range(spec.rank)]

@@ -21,12 +21,6 @@ def test_pairing_examples():
     assert pair(Character.from_string("111"), CoverElement.from_string("110")) == 1
 
 
-def test_character_is_callable():
-    chi = Character.from_string("101")
-    assert chi(CoverElement.from_string("100")) == -1
-    assert chi(CoverElement.from_string("010")) == 1
-
-
 def test_product_examples():
     assert Character.from_string("100") * Character.from_string("010") == Character.from_string("110")
     chi = Character.from_string("011")

@@ -5,10 +5,11 @@ dense tuple arithmetic.  ``serialize.dumps`` writes the canonical text
 itself; the reference is the standard library's
 ``json.dumps(sort_keys=True, indent=2)``.
 ``verify_smoothness`` makes one pass over sets; the reference compares every
-pair.  ``CurveOverFp.point_order`` is computed once per pair of opposite
-points; the reference assignment search tests each order without reading
-any stored order.  ``find_assignment`` evaluates each draw with ``realize``,
-so a count bounds its draws on the family and its mutants; a count of
+pair.  ``CurveOverFp.points_by_order`` orders each pair of opposite points
+once and factors the group order once; the references take the lcm of every
+order and test each order on its own, without reading the table.
+``find_assignment`` evaluates each draw with ``realize``, so a count bounds
+its draws on the family and its mutants; a count of
 ``CurveOverFp.add`` calls bounds the work of each oracle stage.
 ``cli.main`` builds its parser once per process; the reference is a fresh
 ``python -m z2covers`` process per call.  The command line's JSON reports
@@ -534,6 +535,20 @@ def points_of_order(p, a, b, m):
     return [pt for pt in curve.points() if has_order(curve, pt, m)]
 
 
+@pytest.mark.parametrize(
+    "p,a,b", [*((p, -1, 0) for p in (7, 11, 499, *ORACLE_PRIMES)), (1009, 2, 3)]
+)
+def test_the_table_of_orders_matches_the_scan_by_order_and_the_lcm(p, a, b):
+    """The curves of ``TestGroupStructure``: y^2 = x^3 - x at eleven primes, and
+    the cyclic y^2 = x^3 + 2x + 3 over F_1009, whose group is Z/1068."""
+    curve = CurveOverFp(p, a, b)
+    n, exponent = curve.order(), math.lcm(*map(curve.point_order, curve.points()))
+    assert curve.group_structure() == (n, (n // exponent, exponent))
+    table = curve.points_by_order
+    assert table == {m: tuple(points_of_order(p, a, b, m)) for m in table}
+    assert sum(map(len, table.values())) == n
+
+
 def reference_assignment(bd, curve, seed=0, attempts=400):
     """find_assignment's by-order scan, testing each order on its own, and the
     first candidate under which no element of prime order of the model's
@@ -579,6 +594,25 @@ def reference_assignment(bd, curve, seed=0, attempts=400):
     raise AssertionError("the reference found no assignment")
 
 
+def count_orders_and_factorings(curve, monkeypatch):
+    """The ``point_order`` calls (orders computed) and the factorings of the
+    group order N from here on, counted in the dict returned."""
+    counts = {"orders": 0, "factorings": 0}
+    point_order, factor = CurveOverFp.point_order, curve_oracle._prime_factors
+
+    def counting_order(self, *args):
+        counts["orders"] += 1
+        return point_order(self, *args)
+
+    def counting_factors(n):
+        counts["factorings"] += n == curve.order()
+        return factor(n)
+
+    monkeypatch.setattr(CurveOverFp, "point_order", counting_order)
+    monkeypatch.setattr(curve_oracle, "_prime_factors", counting_factors)
+    return counts
+
+
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_find_assignment_matches_the_by_order_scan_and_computes_each_order_once(
     p, monkeypatch
@@ -587,18 +621,11 @@ def test_find_assignment_matches_the_by_order_scan_and_computes_each_order_once(
     d = rng.randrange(1, p)
     bd = construct_family(3, [rng.randrange(4) for _ in range(3)])
     curve = CurveOverFp(p, -d * d, 0)
-    computed = 0
-    factor = curve_oracle._prime_factors
-
-    def counting_factors(n):  # point_order factors the group order once per order computed
-        nonlocal computed
-        computed += n == curve.order()
-        return factor(n)
-
-    monkeypatch.setattr(curve_oracle, "_prime_factors", counting_factors)
+    counts = count_orders_and_factorings(curve, monkeypatch)
     curve.group_structure()
     assignment = find_assignment(bd, curve)
-    assert 0 < computed <= curve.order()
+    assert 0 < counts["orders"] <= curve.order()
+    assert counts["factorings"] == 1
     monkeypatch.undo()
     assert assignment == reference_assignment(bd, CurveOverFp(p, -d * d, 0))
 
@@ -621,19 +648,12 @@ def test_find_assignment_matches_the_by_order_scan_on_the_family_and_its_mutants
 def test_point_orders_are_computed_once_per_pair_of_opposite_points(p, monkeypatch):
     d = random.Random(-p).randrange(1, p)
     curve = CurveOverFp(p, -d * d, 0)
-    computed = 0
-    factor = curve_oracle._prime_factors
-
-    def counting_factors(n):  # point_order factors the group order once per order computed
-        nonlocal computed
-        computed += n == curve.order()
-        return factor(n)
-
-    monkeypatch.setattr(curve_oracle, "_prime_factors", counting_factors)
+    counts = count_orders_and_factorings(curve, monkeypatch)
     curve.group_structure()
     find_assignment(construct_family(3), curve)
     # N = 1 + #(points with y = 0) + 2 * #(pairs P != -P), at most 3 points with y = 0
-    assert 0 < 2 * computed <= curve.order() + 4
+    assert 0 < 2 * counts["orders"] <= curve.order() + 4
+    assert counts["factorings"] == 1
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)

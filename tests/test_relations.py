@@ -149,7 +149,7 @@ def test_the_table_never_calls_the_pairing(monkeypatch):
     monkeypatch.setattr(characters, "pair", refuse)
     monkeypatch.setattr(cover, "pair", refuse, raising=False)
     with pytest.raises(AssertionError):
-        nontrivial_characters(2)[0](nontrivial_elements(2)[0])
+        characters.pair(nontrivial_characters(2)[0], nontrivial_elements(2)[0])
     relations.cache_clear()
     try:
         table = relations(6)
