@@ -23,7 +23,7 @@ curve = CurveOverFp(2003, -1, 0)
 order, (d1, d2) = curve.group_structure()
 print(f"{curve}")
 print(f"  {order} points (found by exhaustive enumeration)")
-full_two_torsion = len(curve.two_torsion_points()) == 4
+full_two_torsion = d1 % 2 == 0  # E[2] = Z/2 x Z/2 exactly when 2 divides d1
 print(f"  group structure Z/{d1} x Z/{d2}, full 2-torsion: {full_two_torsion}")
 
 bd = construct_family(3)

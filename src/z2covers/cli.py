@@ -72,9 +72,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def verify_report(bd: BuildingData) -> dict[str, Any]:
-    """The verify report.  Only accepted data (the relations hold, the branch
-    locus is SNC and its crossings independent) get invariants and a
-    canonical map: the formulas describe a smooth cover."""
+    """The verify report and the one acceptance gate: ``verify``, ``table`` and
+    ``sweep`` pass exactly the data it gives invariants.  Only accepted data
+    (the relations hold, the branch locus is SNC and its crossings
+    independent) get invariants and a canonical map: the formulas describe a
+    smooth cover."""
     relations, smoothness = verify_relations(bd), verify_smoothness(bd)
     report: dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -177,7 +179,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         ],
     }
     written = _report(args, doc, lambda _: render_relations_table(rows) + "\n")
-    return written or (EXIT_OK if all(row.equal for row in rows) else EXIT_VERIFICATION)
+    accepted = verify_report(bd)["invariants"] is not None
+    return written or (EXIT_OK if accepted else EXIT_VERIFICATION)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -190,20 +193,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail("need 2 <= min <= max <= 64", EXIT_USAGE)
     rows = []
     for n in range(lo, hi + 1):
-        bd = construct_family(n)
-        invariants = compute_invariants(bd)
-        cm = canonical_map_degree(bd)
-        rows.append(
-            {
-                "n": n,
-                "k_squared": invariants.k_squared,
-                "p_g": invariants.p_g,
-                "q": invariants.q,
-                "image_degree": cm.image_degree,
-                "degree": cm.degree,
-                "base_point_free": cm.base_point_free,
-            }
-        )
+        report = verify_report(construct_family(n))
+        inv, cm = report["invariants"], report["canonical_map"]
+        if inv is None:
+            return _fail(f"family member n = {n} fails verification", EXIT_VERIFICATION)
+        rows.append({"n": n} | {key: inv[key] for key in ("k_squared", "p_g", "q")}
+                    | {key: cm[key] for key in ("image_degree", "degree", "base_point_free")})
     doc = {"schema_version": REPORT_SCHEMA_VERSION, "rows": rows}
     return _report(args, doc, _render_sweep_text)
 

@@ -167,10 +167,6 @@ class CurveOverFp:
             raise ValueError("point orders inconsistent with a rank-2 abelian group")
         return n, (d1, d2)
 
-    def two_torsion_points(self) -> tuple[_Point, ...]:
-        """Solutions of 2P = O: infinity plus the points with y = 0."""
-        return tuple(pt for pt in self.points() if pt is None or pt[1] == 0)
-
 
 def _prime_factors(n: int) -> tuple[int, ...]:
     factors = []

@@ -273,6 +273,19 @@ class TestSweep:
             assert row == closed
             assert canonical_map_degree(construct_family(n)).image_minimal_degree is (n == 2)
 
+    def test_a_member_the_verify_gate_refuses_fails_the_sweep(self, monkeypatch, capsys):
+        smoothness = cli.verify_smoothness
+
+        def node_at_four(bd):
+            report = smoothness(bd)
+            return replace(report, snc=False) if bd.group_spec.rank == 2 * 4 + 1 else report
+
+        monkeypatch.setattr(cli, "verify_smoothness", node_at_four)
+        assert main(["sweep", "2..6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: family member n = 4 fails verification\n"
+
     def test_reversed_range_is_a_usage_error(self):
         assert main(["sweep", "5..3"]) == 2
 
@@ -393,6 +406,9 @@ def test_reports_match_the_recorded_bytes(tmp_path, capsys, golden, argv, code):
     documents = {
         "family3": construct_family(3),
         "mutant3": next(single_torsion_mutations(construct_family(3)))[2],
+        # L111 shifted by eta1: no row of the six names L111, yet the table fails.
+        "mutant111": next(mutant for chi, t, mutant in single_torsion_mutations(construct_family(3))
+                          if str(chi) == "111" and t.tors == (1, 0)),
         "etale3": construct_etale(3),
     }
     for name, bd in documents.items():

@@ -37,6 +37,11 @@ def naive_point_count(p, a, b):
     return count
 
 
+def two_torsion_points(curve):
+    """Solutions of 2P = O, found without the group law: O and the points with y = 0."""
+    return tuple(pt for pt in curve.points() if pt is INFINITY or pt[1] == 0)
+
+
 class TestCurveBasics:
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -57,12 +62,12 @@ class TestCurveBasics:
 
     def test_full_two_torsion_when_the_cubic_splits(self):
         curve = CurveOverFp(7, -1, 0)
-        assert len(curve.two_torsion_points()) == 4
+        assert len(two_torsion_points(curve)) == 4
 
     @pytest.mark.parametrize("p,a,b", [(7, -1, 0), (11, -1, 0), (13, 2, 3), (19, -1, 0), (23, 1, 1)])
     def test_full_two_torsion_forces_order_divisible_by_four(self, p, a, b):
         curve = CurveOverFp(p, a, b)
-        if len(curve.two_torsion_points()) == 4:
+        if len(two_torsion_points(curve)) == 4:
             assert curve.order() % 4 == 0
 
 
@@ -80,7 +85,7 @@ class TestGroupLaw:
             assert self.curve.add(point, self.curve.negate(point)) == INFINITY
 
     def test_doubling_a_two_torsion_point_gives_infinity(self):
-        for point in self.curve.two_torsion_points():
+        for point in two_torsion_points(self.curve):
             assert self.curve.add(point, point) == INFINITY
 
     def test_associativity_on_random_triples(self):
@@ -547,7 +552,7 @@ class TestTorsionSearch:
         with pytest.raises(ValueError, match=EMBED):
             find_assignment(bd, self.curve)
         assert searched == []
-        order_two = self.curve.two_torsion_points()[1]
+        order_two = two_torsion_points(self.curve)[1]
         report = realize(bd, self.curve, Assignment((), (order_two,) * 22))
         assert not report.torsion_faithful and not report.ok
 
