@@ -2,10 +2,10 @@
 
 Exit codes are a stable contract: 0 success, 1 verification failure or
 oracle FAIL, 2 usage error (an --out that cannot be written, an oracle that
-cannot run on the given curve, or a table of data not of the family), 3 an
-input file that cannot be read or parsed.  A report is built as JSON values
-and written by one writer: as one JSON document with a schema_version field
-and sorted keys, or as text.
+cannot run on the given curve, or a table of data without the family's
+shape), 3 an input file that cannot be read or parsed.  A report is built as
+JSON values and written by one writer: as one JSON document with a
+schema_version field and sorted keys, or as text.
 """
 
 from __future__ import annotations

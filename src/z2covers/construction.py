@@ -33,7 +33,6 @@ of 2 y = F_i + F_i'; all choices produce data with identical invariants.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -41,8 +40,6 @@ from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters
 from .cover import BuildingData, Fiber, relations
 from .picard import SurfaceClass, elliptic_fiber_class
-
-_HALVED_FIBER = re.compile(r"^F(\d+)_\1$")
 
 
 def _torsion_offsets(spec: GroupSpec) -> tuple[GroupElement, ...]:
@@ -154,33 +151,34 @@ class RelationRow:
     equal: bool
 
 
-def _family_shape(bd: BuildingData) -> tuple[int, GroupElement]:
-    """Number of halved fibers and the sum of their classes; family data only."""
+def _twice_halved_sum(bd: BuildingData) -> SurfaceClass:
+    """2 sum F_ii of family data, read from D_111 = sum (F_i + F_i'): each halved
+    fiber has 2 F_ii == F_i + F_i'.  The torsion of D_111 is dropped, since
+    twice any element of Z/2 + Z/2 is 0."""
     if bd.n != 3 or bd.group_spec.torsion_orders != (2, 2):
         raise ValueError("relations table needs data built by construct_family")
-    halved = [aj for label, aj in bd.points_c.items() if _HALVED_FIBER.match(label)]
-    if len(halved) < 2:
-        raise ValueError("relations table needs data built by construct_family")
-    return len(halved), bd.group_spec.sum(halved)
+    d111 = bd.branch_class_of(CoverElement.from_string("111"))
+    if d111.degree % 2 or d111.degree < 4:
+        raise ValueError(f"relations table needs D111 of even degree >= 4, got {d111.degree}")
+    return SurfaceClass(0, d111.degree, replace(d111.pic0, tors=(0, 0)))
 
 
 # The family's 2-torsion over Z/2 + Z/2, named by its torsion coordinates.
 _ETA_NAMES = {(0, 0): None, (1, 0): "η1", (0, 1): "η2", (1, 1): "η3"}
 
 
-def _symbolize(cls: SurfaceClass, fiber_count: int, halved_sum: GroupElement) -> str:
-    """Render a class of the family as  aE + k(sum F_ii) + eta."""
-    if cls.degree % fiber_count:
-        raise ValueError(f"cannot render degree {cls.degree} over {fiber_count} fibers")
-    k = cls.degree // fiber_count
-    residual = cls.pic0 - k * halved_sum
+def _symbolize(cls: SurfaceClass, twice_halved: SurfaceClass) -> str:
+    """Render a class of the family as  aE + k(sum F_ii) + eta, k even."""
+    j, remainder = divmod(cls.degree, twice_halved.degree)
+    if remainder:
+        raise ValueError(f"cannot render degree {cls.degree} in units of 2ΣF_ii "
+                         f"of degree {twice_halved.degree}")
+    residual = cls.pic0 - j * twice_halved.pic0
     if residual.terms:
         raise ValueError("class is not a combination of family generators")
     terms = [f"{cls.a}E"]
-    if k == 1:
-        terms.append("ΣF_ii")
-    elif k:
-        terms.append(f"{k}ΣF_ii")
+    if j:
+        terms.append(f"{2 * j}ΣF_ii")
     eta = _ETA_NAMES[residual.tors]
     if eta:
         terms.append(eta)
@@ -192,10 +190,11 @@ def relations_table(bd: BuildingData) -> tuple[RelationRow, ...]:
 
     Each row carries the left-hand class, the branch-and-class sum on the
     right, the simplified symbolic form of that sum, and whether both
-    sides agree.  Expects data built by :func:`construct_family` (possibly
-    mutated); other data cannot be rendered in family symbols.
+    sides agree.  Expects data of the family's shape, as built by
+    :func:`construct_family` (possibly mutated): each sum is rendered in the
+    unit 2 sum F_ii that D_111 gives, so no point label is read.
     """
-    fiber_count, halved_sum = _family_shape(bd)
+    twice_halved = _twice_halved_sum(bd)
     branch = {sigma: bd.branch_class_of(sigma) for sigma in bd.elements}
     zero = SurfaceClass.zero(bd.group_spec)
     # Pairs of generators 100, 010, 001 from the top; the table reads (lower, higher).
@@ -214,7 +213,7 @@ def relations_table(bd: BuildingData) -> tuple[RelationRow, ...]:
             RelationRow(
                 (f"L{r.chi_prime}", f"L{r.chi}"),
                 tuple(middle),
-                _symbolize(rhs, fiber_count, halved_sum),
+                _symbolize(rhs, twice_halved),
                 lhs,
                 rhs,
                 lhs == rhs,

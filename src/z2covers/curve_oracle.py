@@ -7,10 +7,11 @@ explicit curve y^2 = x^3 + ax + b over F_p, at desk scale: points are
 found by exhaustive enumeration (no point counting tricks) and ordered by
 brute force, which keeps the oracle independent of the algebra it audits.
 The curve's one table of orders, :attr:`CurveOverFp.points_by_order`, is one
-pass that factors the group order once and orders one point of each pair
-{P, -P}; ``group_structure`` and ``find_assignment`` both read it.  A point
-is the tuple (x, y) of coordinates reduced mod p, and the point at infinity O
-is None (:data:`INFINITY`).  The group law inverts each slope's denominator d
+pass that orders one point of each pair {P, -P}, each by the primes of the
+group order, factored once per curve; ``group_structure`` and
+``find_assignment`` both read it.  A point is the tuple (x, y) of
+coordinates reduced mod p, and the point at infinity O is None
+(:data:`INFINITY`).  The group law inverts each slope's denominator d
 exactly, ``pow(d, -1, p)`` as in :func:`abgroup.halvings`, and refuses a zero
 denominator with ``ValueError``: only an unreduced alias or a point off the
 curve gives one.
@@ -133,11 +134,15 @@ class CurveOverFp:
     def order(self) -> int:
         return len(self.points())
 
-    def point_order(self, point: _Point, primes: tuple[int, ...] | None = None) -> int:
-        """Order of a point, reduced from the group order N by each prime of N:
-        ``primes`` when the caller has factored N, else N factored here."""
+    @cached_property
+    def order_primes(self) -> tuple[int, ...]:
+        """The primes of the group order N, factored once per curve."""
+        return _prime_factors(self.order())
+
+    def point_order(self, point: _Point) -> int:
+        """Order of a point, reduced from the group order N by each prime of N."""
         order = self.order()
-        for q in _prime_factors(order) if primes is None else primes:
+        for q in self.order_primes:
             while order % q == 0 and self.scale(order // q, point) is None:
                 order //= q
         return order
@@ -145,14 +150,13 @@ class CurveOverFp:
     @cached_property
     def points_by_order(self) -> dict[int, tuple[_Point, ...]]:
         """The points of each order, as :meth:`points` lists them: the curve's
-        one table of point orders, made in one pass that factors N once and
-        orders one point of each pair {P, -P}, since ord(-P) = ord(P)."""
-        primes = _prime_factors(self.order())
+        one table of point orders, made in one pass that orders one point of
+        each pair {P, -P}, since ord(-P) = ord(P)."""
         order_of: dict[_Point, int] = {}
         table: dict[int, list[_Point]] = {}
         for point in self.points():
             if point not in order_of:
-                order_of[point] = order_of[self.negate(point)] = self.point_order(point, primes)
+                order_of[point] = order_of[self.negate(point)] = self.point_order(point)
             table.setdefault(order_of[point], []).append(point)
         return {m: tuple(points) for m, points in table.items()}
 

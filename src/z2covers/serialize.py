@@ -29,8 +29,8 @@ is a FormatError too.  Beyond this JSON shape the data is checked once, by
 ``json.dumps(doc, sort_keys=True, indent=2)`` writes; :func:`canonical_json`
 does the same for any JSON value, such as the command line's reports, which
 :func:`plain` makes of the verdicts.  A group element is written from its
-nonzero free coordinates: each run of zeros between them is a slice of one
-block of zero lines, so the Python work per element is O(nonzeros) although
+nonzero free coordinates: each run of k zeros between them is one string
+repeated k times, so the Python work per element is O(nonzeros) although
 the text stays dense.
 """
 
@@ -42,7 +42,6 @@ import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
-from functools import lru_cache
 from typing import Any, Callable
 
 from .abgroup import GroupElement, GroupSpec
@@ -200,12 +199,6 @@ def building_data_from_dict(doc: Any) -> BuildingData:
         raise FormatError(f"malformed building data: {exc}") from exc
 
 
-@lru_cache(maxsize=8)
-def _zero_lines(sep: str, count: int) -> str:
-    """``count`` zero entries of an indented integer list, each followed by ``sep``."""
-    return ("0" + sep) * count
-
-
 def _encode_element(x: GroupElement, pad: str, out: list[str]) -> None:
     """Append the canonical text of ``{"free": x.free, "tors": x.tors}``;
     ``pad`` is the indentation of the line it starts on."""
@@ -213,13 +206,13 @@ def _encode_element(x: GroupElement, pad: str, out: list[str]) -> None:
     sep = ",\n" + inner + "  "
     free = ""
     if x.spec.rank:
-        zeros, width = _zero_lines(sep, x.spec.rank), len(sep) + 1
+        zero = "0" + sep
         entries, done = [], 0
-        for i, v in x.terms:  # the zeros before each term are a slice of the block
-            entries.append(zeros[: (i - done) * width])
+        for i, v in x.terms:  # the run of zeros before each term, then the term
+            entries.append(zero * (i - done))
             entries.append(f"{v}{sep}")
             done = i + 1
-        entries.append(zeros[: (x.spec.rank - done) * width])
+        entries.append(zero * (x.spec.rank - done))
         free = "".join(entries)[: -len(sep)]
     tors = sep.join(map(str, x.tors))
     out.append(

@@ -403,12 +403,18 @@ def test_every_recorded_report_has_one_run():
 
 @pytest.mark.parametrize("golden, argv, code", GOLDEN_RUNS, ids=[run[0] for run in GOLDEN_RUNS])
 def test_reports_match_the_recorded_bytes(tmp_path, capsys, golden, argv, code):
+    family3 = construct_family(3)
     documents = {
-        "family3": construct_family(3),
+        "family3": family3,
         "mutant3": next(single_torsion_mutations(construct_family(3)))[2],
         # L111 shifted by eta1: no row of the six names L111, yet the table fails.
         "mutant111": next(mutant for chi, t, mutant in single_torsion_mutations(construct_family(3))
                           if str(chi) == "111" and t.tors == (1, 0)),
+        # F1_1, which no fiber names, with its first free coordinate raised by 1:
+        # verify accepts it, and the table reads 2ΣF_ii from D111, so it passes too.
+        "edited_f11": replace(family3, points_c={
+            **family3.points_c, "F1_1": family3.points_c["F1_1"] + family3.group_spec.free_generator(0)
+        }),
         "etale3": construct_etale(3),
     }
     for name, bd in documents.items():

@@ -657,6 +657,16 @@ def test_point_orders_are_computed_once_per_pair_of_opposite_points(p, monkeypat
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_ordering_every_point_factors_the_group_order_once(p, monkeypatch):
+    d = random.Random(p).randrange(1, p)
+    curve = CurveOverFp(p, -d * d, 0)
+    counts = count_orders_and_factorings(curve, monkeypatch)
+    orders = [curve.point_order(point) for point in curve.points()]
+    assert counts["orders"] == len(orders) == curve.order()
+    assert counts["factorings"] == 1
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_find_assignment_draws_at_most_twice_on_the_family_and_its_mutants(p, monkeypatch):
     d = random.Random(p).randrange(1, p)
     curve = CurveOverFp(p, -d * d, 0)

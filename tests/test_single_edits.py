@@ -2,9 +2,9 @@
 
 An edit adds or subtracts 1 at one integer of the document, flips one
 fiber's kind, or drops one fiber, copies it to another σ or moves it there.
-Each edited file goes through ``verify`` and ``table`` in-process, and each
-verdict is checked against the all-pairs references of the relations and
-of smoothness.
+Each edited file goes through ``verify`` and ``table`` in-process: ``table``
+exits 0 exactly when ``verify`` does, and each verdict is checked against the
+all-pairs references of the relations and of smoothness.
 """
 
 import json
@@ -81,8 +81,8 @@ def test_every_single_edit_is_refused_fails_or_touches_an_unnamed_point(tmp_path
             raise AssertionError(f"the edit at {where} raised") from exc
         capsys.readouterr()
         exits.append(verified)
-        if tabled == 0:
-            assert verified == 0, f"table passes the edit at {where} that verify fails"
+        assert (tabled == 0) == (verified == 0), (
+            f"table exits {tabled} and verify {verified} on the edit at {where}")
         try:
             edited = loads(text)
         except FormatError:
