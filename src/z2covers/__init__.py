@@ -17,7 +17,6 @@ from .characters import (
     pair,
 )
 from .construction import (
-    RelationRow,
     construct_etale,
     construct_family,
     relations_table,
@@ -75,7 +74,6 @@ __all__ = [
     "INFINITY",
     "MapReport",
     "RealizationReport",
-    "RelationRow",
     "SmoothnessReport",
     "SurfaceClass",
     "VerificationReport",

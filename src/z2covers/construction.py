@@ -33,12 +33,12 @@ of 2 y = F_i + F_i'; all choices produce data with identical invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import replace
+from typing import Any, Iterator, Sequence
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters
-from .cover import BuildingData, Fiber, relations
+from .cover import BuildingData, Fiber, relations, verify_relations
 from .picard import SurfaceClass, elliptic_fiber_class
 
 
@@ -139,18 +139,6 @@ def single_torsion_mutations(
             yield chi, t, replace(bd, L=shifted)
 
 
-@dataclass(frozen=True)
-class RelationRow:
-    """One rendered row of the six defining relations of the family."""
-
-    lhs_terms: tuple[str, str]
-    middle_terms: tuple[str, ...]
-    rhs_symbol: str
-    lhs_class: SurfaceClass
-    rhs_class: SurfaceClass
-    equal: bool
-
-
 def _twice_halved_sum(bd: BuildingData) -> SurfaceClass:
     """2 sum F_ii of family data, read from D_111 = sum (F_i + F_i'): each halved
     fiber has 2 F_ii == F_i + F_i'.  The torsion of D_111 is dropped, since
@@ -185,18 +173,19 @@ def _symbolize(cls: SurfaceClass, twice_halved: SurfaceClass) -> str:
     return " + ".join(terms)
 
 
-def relations_table(bd: BuildingData) -> tuple[RelationRow, ...]:
-    """The six generating relations of the family, rendered and checked.
-
-    Each row carries the left-hand class, the branch-and-class sum on the
-    right, the simplified symbolic form of that sum, and whether both
-    sides agree.  Expects data of the family's shape, as built by
-    :func:`construct_family` (possibly mutated): each sum is rendered in the
-    unit 2 sum F_ii that D_111 gives, so no point label is read.
+def relations_table(bd: BuildingData) -> list[dict[str, Any]]:
+    """The six generating relations of the family as the JSON rows that
+    ``table`` prints: ``lhs`` and ``middle`` name the terms of each side,
+    ``rhs`` is the simplified symbol of the right-hand class, and ``equal``
+    is the verdict of :func:`verify_relations` on the row's pair.  Expects
+    data of the family's shape, as built by :func:`construct_family`
+    (possibly mutated): each symbol is rendered in the unit 2 sum F_ii that
+    D_111 gives, so no point label is read.
     """
     twice_halved = _twice_halved_sum(bd)
     branch = {sigma: bd.branch_class_of(sigma) for sigma in bd.elements}
     zero = SurfaceClass.zero(bd.group_spec)
+    failed = {(f.chi, f.chi_prime) for f in verify_relations(bd).failures}
     # Pairs of generators 100, 010, 001 from the top; the table reads (lower, higher).
     generator_rows = sorted(
         (r for r in relations(bd.n) if r.chi.mask.bit_count() == r.chi_prime.mask.bit_count() == 1),
@@ -205,30 +194,23 @@ def relations_table(bd: BuildingData) -> tuple[RelationRow, ...]:
     )
     rows = []
     for r in generator_rows:
-        lhs, rhs = r.sides(bd.L, branch, zero)
         middle = [f"D{sigma}" for sigma in r.sigmas if bd.branch(sigma)]
         if r.product is not None:
             middle.append(f"L{r.product}")
-        rows.append(
-            RelationRow(
-                (f"L{r.chi_prime}", f"L{r.chi}"),
-                tuple(middle),
-                _symbolize(rhs, twice_halved),
-                lhs,
-                rhs,
-                lhs == rhs,
-            )
-        )
-    return tuple(rows)
+        rhs = r.branch_sum(branch, zero if r.product is None else bd.L[r.product])
+        rows.append({
+            "lhs": [f"L{r.chi_prime}", f"L{r.chi}"],
+            "middle": middle,
+            "rhs": _symbolize(rhs, twice_halved),
+            "equal": (r.chi, r.chi_prime) not in failed,
+        })
+    return rows
 
 
-def render_relations_table(rows: Sequence[RelationRow]) -> str:
-    """Plain-text rendering, one relation per line."""
-    lines = []
-    for row in rows:
-        verdict = "equal" if row.equal else "UNEQUAL"
-        lines.append(
-            f"{row.lhs_terms[0]} + {row.lhs_terms[1]} ≡ "
-            f"{' + '.join(row.middle_terms)} ≡ {row.rhs_symbol}   [{verdict}]"
-        )
-    return "\n".join(lines)
+def render_relations_table(rows: Sequence[dict[str, Any]]) -> str:
+    """Plain-text rendering of :func:`relations_table`'s rows, one relation per line."""
+    return "\n".join(
+        f"{' + '.join(row['lhs'])} ≡ {' + '.join(row['middle'])} ≡ {row['rhs']}   "
+        f"[{'equal' if row['equal'] else 'UNEQUAL'}]"
+        for row in rows
+    )

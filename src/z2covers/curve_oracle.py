@@ -217,17 +217,19 @@ def _image(curve: CurveOverFp, assignment: Assignment, element: GroupElement) ->
     return total
 
 
-def _torsion_faithful(curve: CurveOverFp, bd: BuildingData, assignment: Assignment) -> bool:
-    """Only the zero element of the model's torsion maps to O.  A map from a
-    finite abelian group is injective exactly when no element of prime order
-    maps to O.  For each prime ℓ those elements are spanned by (m/ℓ)·t, one
-    per order ℓ | m, and the curve's E[ℓ] is (Z/ℓ)^r, r <= 2, so their images
+def _torsion_faithful(
+    curve: CurveOverFp, orders: tuple[int, ...], torsion_points: tuple[_Point, ...]
+) -> bool:
+    """Only the zero element of the model's torsion, its generators of
+    ``orders`` sent to ``torsion_points``, maps to O.  A map from a finite
+    abelian group is injective exactly when no element of prime order maps
+    to O.  For each prime ℓ those elements are spanned by (m/ℓ)·t, one per
+    order ℓ | m, and the curve's E[ℓ] is (Z/ℓ)^r, r <= 2, so their images
     (m/ℓ)·P must be independent: at most two, none O, the second not a
     multiple of the first."""
-    orders = bd.group_spec.torsion_orders
     for ell in set().union(*map(_prime_factors, orders)):
         h = [curve.scale(m // ell, point)
-             for m, point in zip(orders, assignment.torsion_points) if m % ell == 0]
+             for m, point in zip(orders, torsion_points) if m % ell == 0]
         if len(h) > 2 or None in h or (
                 len(h) == 2 and h[1] in {curve.scale(k, h[0]) for k in range(1, ell)}):
             return False
@@ -266,7 +268,7 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
                 f"torsion generator image {point!r} is not {m}-torsion on the curve"
             )
 
-    torsion_faithful = _torsion_faithful(curve, bd, assignment)
+    torsion_faithful = _torsion_faithful(curve, spec.torsion_orders, assignment.torsion_points)
     realized = {label: _image(curve, assignment, x) for label, x in bd.points_c.items()}
     collisions = _shared_pairs(realized)
 
@@ -339,8 +341,7 @@ def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:
         if sum(m % ell == 0 for m in spec.torsion_orders) > (d1 % ell == 0) + (d2 % ell == 0):
             raise ValueError(refusal)
     candidates = itertools.product(*(by_order[m] for m in spec.torsion_orders))
-    no_free = (INFINITY,) * spec.rank
-    faithful = (c for c in candidates if _torsion_faithful(curve, bd, Assignment(no_free, c)))
+    faithful = (c for c in candidates if _torsion_faithful(curve, spec.torsion_orders, c))
     torsion_points = next(faithful, None)
     if torsion_points is None:
         raise ValueError(refusal)

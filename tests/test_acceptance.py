@@ -55,7 +55,7 @@ def test_acceptance_1_family_reproduction_for_n_3_to_10():
 
 def test_acceptance_2_relations_table_symbols():
     rows = relations_table(construct_family(3))
-    assert [row.rhs_symbol for row in rows] == [
+    assert [row["rhs"] for row in rows] == [
         "6E + 2ΣF_ii",
         "4E + 2ΣF_ii + η1",
         "4E + 2ΣF_ii + η2",
@@ -63,7 +63,7 @@ def test_acceptance_2_relations_table_symbols():
         "2E + 2ΣF_ii + η3",
         "2E + 2ΣF_ii",
     ]
-    assert all(row.equal for row in rows)
+    assert all(row["equal"] for row in rows)
     report(2, "the six defining relations render with the expected right-hand sides")
 
 

@@ -9,12 +9,13 @@ from dataclasses import fields, replace
 
 import pytest
 
+import golden_inputs
 from z2covers import cli, curve_oracle
 from z2covers.abgroup import GroupSpec
-from z2covers.characters import nontrivial_characters
+from z2covers.characters import CoverElement, nontrivial_characters
 from z2covers.cli import main, verify_report
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
-from z2covers.cover import BuildingData
+from z2covers.cover import BuildingData, Fiber
 from z2covers.curve_oracle import RealizationReport
 from z2covers.invariants import canonical_map_degree
 from z2covers.picard import SurfaceClass
@@ -185,11 +186,16 @@ class TestVerify:
         assert error == "no faithful assignment found in 400 attempts"
 
     def test_oracle_on_a_one_point_curve_says_why_it_cannot_run(self, tmp_path, capsys):
-        # y^2 = x^3 + 2x + 2 has no affine point over F_3: its group is {O}.
-        spec = GroupSpec(1)
+        # y^2 = x^3 + 2x + 2 has no affine point over F_3: its group is {O}.  The
+        # data is accepted (2L = F_P + F_Q), so the oracle's error decides the exit.
+        spec = GroupSpec(2)
+        g, h = spec.free_generator(0), spec.free_generator(1)
         only = nontrivial_characters(1)[0]
-        bd = BuildingData(spec, {}, (), {only: SurfaceClass(0, 0, spec.free_generator(0))}, {})
-        path = tmp_path / "rank1.bd.json"
+        sigma = CoverElement.from_string("1")
+        bd = BuildingData(spec, {"P": g + h, "Q": g - h}, (), {only: SurfaceClass(0, 1, g)},
+                          {sigma: (Fiber("F", "P"), Fiber("F", "Q"))})
+        assert verify_report(bd)["invariants"] is not None
+        path = tmp_path / "rank2.bd.json"
         path.write_text(dumps(bd))
         flags = ["--oracle", "--oracle-prime", "3", "--oracle-a", "2", "--oracle-b", "2"]
         assert main(["verify", str(path), *flags]) == 2
@@ -403,20 +409,7 @@ def test_every_recorded_report_has_one_run():
 
 @pytest.mark.parametrize("golden, argv, code", GOLDEN_RUNS, ids=[run[0] for run in GOLDEN_RUNS])
 def test_reports_match_the_recorded_bytes(tmp_path, capsys, golden, argv, code):
-    family3 = construct_family(3)
-    documents = {
-        "family3": family3,
-        "mutant3": next(single_torsion_mutations(construct_family(3)))[2],
-        # L111 shifted by eta1: no row of the six names L111, yet the table fails.
-        "mutant111": next(mutant for chi, t, mutant in single_torsion_mutations(construct_family(3))
-                          if str(chi) == "111" and t.tors == (1, 0)),
-        # F1_1, which no fiber names, with its first free coordinate raised by 1:
-        # verify accepts it, and the table reads 2ΣF_ii from D111, so it passes too.
-        "edited_f11": replace(family3, points_c={
-            **family3.points_c, "F1_1": family3.points_c["F1_1"] + family3.group_spec.free_generator(0)
-        }),
-        "etale3": construct_etale(3),
-    }
+    documents = golden_inputs.documents()
     for name, bd in documents.items():
         (tmp_path / name).write_text(dumps(bd), encoding="utf-8")
     argv = [str(tmp_path / arg) if arg in documents else arg for arg in argv]

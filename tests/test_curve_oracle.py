@@ -431,10 +431,12 @@ class TestSharedClass:
         assert str(refused.value) == SHARED
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_verify_prints_the_reason_and_exits_2(self, fmt, tmp_path, capsys):
+    def test_verify_prints_the_reason_and_exits_1(self, fmt, tmp_path, capsys):
+        # The model rejects the data (injective_points=False), and the gate
+        # decides before the oracle: a verification failure, not a usage error.
         path = tmp_path / "shared.bd.json"
         path.write_text(dumps(shared_class_family()))
-        assert main(["verify", str(path), "--oracle", "--format", fmt]) == 2
+        assert main(["verify", str(path), "--oracle", "--format", fmt]) == 1
         out = capsys.readouterr().out
         if fmt == "json":
             assert json.loads(out)["oracle"] == {"error": SHARED}
@@ -537,11 +539,11 @@ class TestTorsionSearch:
 
         faithful, tried = curve_oracle._torsion_faithful, []
 
-        def capped(curve, bd, assignment):
-            tried.append(assignment.torsion_points)
+        def capped(curve, orders, torsion_points):
+            tried.append(torsion_points)
             if len(tried) > 50:
                 raise AssertionError("more than 50 torsion candidates tried")
-            return faithful(curve, bd, assignment)
+            return faithful(curve, orders, torsion_points)
 
         monkeypatch.setattr(GroupSpec, "two_torsion", refused)
         monkeypatch.setattr(curve_oracle, "_torsion_faithful", capped)
@@ -636,7 +638,7 @@ class TestTorsionFaithful:
                        (3, 3), (3, 3, 3), (3, 9)]:
             bd = one_character(orders)
             for points in itertools.product(*map(killed_by, orders)):
-                got = curve_oracle._torsion_faithful(curve, bd, Assignment((), points))
+                got = curve_oracle._torsion_faithful(curve, orders, points)
                 want = faithful_prime_by_prime(curve, bd.group_spec, points)
                 assert got == want, (orders, points)
                 if sum(m % 2 == 0 for m in orders) == 3:

@@ -3,8 +3,9 @@
 An edit adds or subtracts 1 at one integer of the document, flips one
 fiber's kind, or drops one fiber, copies it to another σ or moves it there.
 Each edited file goes through ``verify`` and ``table`` in-process: ``table``
-exits 0 exactly when ``verify`` does, and each verdict is checked against the
-all-pairs references of the relations and of smoothness.
+exits 0 exactly when ``verify`` does, and each verdict, ``verify``'s and that
+of every row ``table`` renders, is checked against the all-pairs references of
+the relations and of smoothness.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from test_fast_paths import reference_smoothness
 from test_relations import reference_verify
+from z2covers.characters import Character
 from z2covers.cli import main
 from z2covers.construction import construct_etale, construct_family
 from z2covers.serialize import FormatError, dumps, loads
@@ -72,14 +74,16 @@ def test_every_single_edit_is_refused_fails_or_touches_an_unnamed_point(tmp_path
     doc = json.loads(dumps(bd))
     named = {fiber["label"] for fibers in doc["D"].values() for fiber in fibers}
     path = tmp_path / "edited.bd.json"
-    exits = []
+    exits, rendered = [], 0
     for where, text in single_edits(doc):
         path.write_text(text, encoding="utf-8")
         try:
-            verified, tabled = main(["verify", str(path)]), main(["table", str(path)])
+            verified = main(["verify", str(path)])
+            capsys.readouterr()
+            tabled = main(["table", str(path), "--format", "json"])
         except Exception as exc:  # a traceback is never an answer
             raise AssertionError(f"the edit at {where} raised") from exc
-        capsys.readouterr()
+        table = capsys.readouterr().out
         exits.append(verified)
         assert (tabled == 0) == (verified == 0), (
             f"table exits {tabled} and verify {verified} on the edit at {where}")
@@ -89,8 +93,15 @@ def test_every_single_edit_is_refused_fails_or_touches_an_unnamed_point(tmp_path
             assert verified == tabled == 3, where
             continue
         assert verified == (0 if accepted_by_the_references(edited) else 1), where
+        if tabled in (0, 1):  # rendered: each row's verdict is the reference's on its pair
+            failed = {frozenset(failure[:2]) for failure in reference_verify(edited)[1]}
+            for row in json.loads(table)["rows"]:
+                pair = frozenset(Character.from_string(term[1:]) for term in row["lhs"])
+                assert row["equal"] == (pair not in failed), (where, row)
+            rendered += 1
         if verified == 0:
             assert where[0] == "points_c" and where[1] not in named, where
     assert exits.count(1) > 0 and exits.count(3) > 0
     if bd.points_c:
         assert exits.count(0) > 0  # edits of points no fiber names are read by no verdict
+        assert rendered > exits.count(0)  # the table renders accepted and failed edits
