@@ -1,4 +1,4 @@
-"""Render the six generating relations of the family.
+"""Render the six relations among the family's three generator classes.
 
 The right-hand column simplifies both sides of each relation; the torsion
 classes eta_1, eta_2, eta_3 survive the simplification and are exactly

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--oracle-b", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_table = sub.add_parser("table", help="render the six defining relations")
+    p_table = sub.add_parser("table", help="render the six relations among the generator classes")
     p_table.add_argument("file")
     p_table.set_defaults(func=cmd_table)
 

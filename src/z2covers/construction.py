@@ -174,18 +174,16 @@ def _symbolize(cls: SurfaceClass, twice_halved: SurfaceClass) -> str:
 
 
 def relations_table(bd: BuildingData) -> list[dict[str, Any]]:
-    """The six generating relations of the family as the JSON rows that
-    ``table`` prints: ``lhs`` and ``middle`` name the terms of each side,
-    ``rhs`` is the simplified symbol of the right-hand class, and ``equal``
-    is the verdict of :func:`verify_relations` on the row's pair.  Expects
-    data of the family's shape, as built by :func:`construct_family`
-    (possibly mutated): each symbol is rendered in the unit 2 sum F_ii that
-    D_111 gives, so no point label is read.
+    """The six relations among the generator classes L100, L010, L001 as the
+    JSON rows ``table`` prints; they do not generate the rest (L011 + L100 ==
+    L111 + D101 + D110 is not among them).  ``lhs`` and ``middle`` name each
+    side's terms.  No relation is evaluated here: ``equal`` is the verdict of
+    :func:`verify_relations` and ``rhs`` the symbol of L_chi + L_chi', or of
+    the verifier's right-hand class where the row fails, in the unit 2 sum
+    F_ii read from D_111.  Expects data of the family's shape (possibly mutated).
     """
     twice_halved = _twice_halved_sum(bd)
-    branch = {sigma: bd.branch_class_of(sigma) for sigma in bd.elements}
-    zero = SurfaceClass.zero(bd.group_spec)
-    failed = {(f.chi, f.chi_prime) for f in verify_relations(bd).failures}
+    failures = {(f.chi, f.chi_prime): f for f in verify_relations(bd).failures}
     # Pairs of generators 100, 010, 001 from the top; the table reads (lower, higher).
     generator_rows = sorted(
         (r for r in relations(bd.n) if r.chi.mask.bit_count() == r.chi_prime.mask.bit_count() == 1),
@@ -197,12 +195,13 @@ def relations_table(bd: BuildingData) -> list[dict[str, Any]]:
         middle = [f"D{sigma}" for sigma in r.sigmas if bd.branch(sigma)]
         if r.product is not None:
             middle.append(f"L{r.product}")
-        rhs = r.branch_sum(branch, zero if r.product is None else bd.L[r.product])
+        failure = failures.get((r.chi, r.chi_prime))
+        rhs = bd.L[r.chi] + bd.L[r.chi_prime] if failure is None else failure.rhs
         rows.append({
             "lhs": [f"L{r.chi_prime}", f"L{r.chi}"],
             "middle": middle,
             "rhs": _symbolize(rhs, twice_halved),
-            "equal": (r.chi, r.chi_prime) not in failed,
+            "equal": failure is None,
         })
     return rows
 

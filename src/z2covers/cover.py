@@ -14,8 +14,8 @@ condition with chi = chi' specialises to 2 L_chi == sum over chi(sigma) = -1,
 the "diagonal" relations.
 
 :func:`relations` is the single source of these relations, one row per
-pair; every consumer (the verifier, the generator completion, the family's
-relations table, the curve oracle) evaluates those rows in its own arithmetic.
+pair, which the verifier, the generator completion and the curve oracle
+evaluate in their own arithmetic; the relations table reads the verifier's.
 :class:`BuildingData`, n read from its characters, is the one gate for shape.
 
 Branch components here are always whole fibers of one of the two rulings,
@@ -319,9 +319,10 @@ def derive_from_generators(
         L_chi = L_e + L_{chi.e} - sum of D_sigma over the sigma
                 with e(sigma) = (chi.e)(sigma) = -1.
 
-    The completed data is verified in full.  A ConsistencyError is raised
-    if the diagonal relation 2 L_e == sum of D_sigma over e(sigma) = -1
-    fails for a generator character e, or if any residual relation fails.
+    These rows hold by construction and f(chi, chi') = L_chi + L_chi' -
+    L_{chi.chi'} - D_{chi,chi'} is a 2-cocycle, so the completed data fails a
+    relation only if a generator diagonal 2 L_e == sum of D_sigma over
+    e(sigma) = -1 fails: a ConsistencyError names those, else any zero class.
     """
     k = len(generators)
     chars = nontrivial_characters(k)  # a ValueError unless 1 <= k <= 8
@@ -343,12 +344,10 @@ def derive_from_generators(
 
     bd = replace(draft, L=L)
     report = verify_relations(bd)
-    diagonal = [f for f in report.failures if f.chi == f.chi_prime and f.chi.mask.bit_count() == 1]
-    if diagonal:
+    if report.failures:
+        diagonal = [f for f in report.failures if f.chi == f.chi_prime and f.chi in generators]
         raise ConsistencyError("diagonal relation fails for a generator character", diagonal)
-    if not report.ok:
-        raise ConsistencyError(
-            "completed data violates a residual relation",
-            report.failures or report.trivial_characters,
-        )
+    if report.trivial_characters:
+        names = ", ".join(f"L_{chi}" for chi in report.trivial_characters)
+        raise ConsistencyError(f"completed data has zero classes: {names}", report.trivial_characters)
     return bd

@@ -64,7 +64,7 @@ def test_acceptance_2_relations_table_symbols():
         "2E + 2ΣF_ii",
     ]
     assert all(row["equal"] for row in rows)
-    report(2, "the six defining relations render with the expected right-hand sides")
+    report(2, "the six relations among the generator classes render with the expected right-hand sides")
 
 
 def test_acceptance_3_boundary_case_n_2():

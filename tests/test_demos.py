@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints exactly its recorded output.
+"""Every demo script runs to completion, prints exactly its recorded output and
+writes nothing to stderr.
 
 The expected stdout of each demo is kept in ``tests/data/demos/<name>.txt``;
 all six demos are deterministic, so a refactor that changes no verdict
@@ -30,3 +31,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == (EXPECTED / f"{demo.stem}.txt").read_bytes()
+    assert result.stderr == b""  # as in CI, where a demo that writes to stderr fails

@@ -33,11 +33,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2covers import characters, cli, curve_oracle, serialize
+from z2covers import characters, cli, cover, curve_oracle, serialize
 from z2covers.abgroup import GroupElement, GroupSpec, halvings
 from z2covers.cli import main
 from z2covers.characters import nontrivial_characters, nontrivial_elements
-from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
+from z2covers.construction import (
+    construct_etale,
+    construct_family,
+    relations_table,
+    single_torsion_mutations,
+)
 from z2covers.cover import (
     BuildingData,
     Fiber,
@@ -402,6 +407,29 @@ def test_each_relation_is_decided_by_one_sum(n, monkeypatch):
     report = verify_relations(bd)
     assert report.ok and report.pairs_checked == 28
     assert sums <= 7 + 28  # one per branch class, then one per relation
+
+
+@pytest.mark.parametrize("n", [3, 200])
+def test_the_table_forms_the_verifiers_branch_classes_and_d111_alone(n, monkeypatch):
+    bd = construct_family(n)
+    formed, evaluated = 0, 0
+    branch_class_of, branch_sum = BuildingData.branch_class_of, cover.Relation.branch_sum
+
+    def counting_class(self, sigma):
+        nonlocal formed
+        formed += 1
+        return branch_class_of(self, sigma)
+
+    def counting_sum(self, *args, **kwargs):
+        nonlocal evaluated
+        evaluated += 1
+        return branch_sum(self, *args, **kwargs)
+
+    monkeypatch.setattr(BuildingData, "branch_class_of", counting_class)
+    monkeypatch.setattr(cover.Relation, "branch_sum", counting_sum)
+    assert all(row["equal"] for row in relations_table(bd))
+    assert formed == 7 + 1  # one per D_sigma in the verifier, then D_111 for the table's unit
+    assert evaluated == 28  # every relation once, all of them in the verifier
 
 
 def test_the_shared_parser_answers_like_a_fresh_process(tmp_path, monkeypatch, capsys):

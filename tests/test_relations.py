@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_cover import generators
 from z2covers import characters, cover
 from z2covers.abgroup import GroupSpec
-from z2covers.characters import nontrivial_characters, nontrivial_elements, pair
+from z2covers.characters import Character, nontrivial_characters, nontrivial_elements, pair
 from z2covers.cli import verify_report
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.cover import (
@@ -266,6 +266,128 @@ def test_family_data_and_its_mutants_match_the_reference(n):
     assert_matches_reference(bd)
     for _, _, mutant in single_torsion_mutations(bd):
         assert_matches_reference(mutant)
+
+
+# -- G(n): the rows every other relation follows from -------------------------
+
+
+def generator_rows(n):
+    """G(n), 2^n - 1 rows: the diagonal (e, e) of each weight-one e, and
+    (chi.h, h) for each chi of weight >= 2, h the highest generator in chi.
+    These are the generator diagonals and the rows the completion runs forwards.
+
+    f(chi, chi') = L_chi + L_chi' - L_{chi.chi'} - D_{chi,chi'} is a symmetric
+    2-cocycle, so a datum fails some relation exactly when it fails a row of
+    G (ROADMAP item 2 has the proof).
+    """
+    chars = nontrivial_characters(n)
+    weight_one = [e for e in chars if e.mask.bit_count() == 1]
+    rows = {(e, e) for e in weight_one}
+    for chi in chars:
+        if chi.mask.bit_count() >= 2:
+            h = max(e for e in weight_one if e.mask & chi.mask)
+            rows.add((chi * h, h))
+    return rows
+
+
+def assert_fails_only_on_a_row_of_g(bd):
+    """The all-pairs reference fails some pair exactly when it fails a row of
+    G(n); and the completion, which holds every non-diagonal row of G by
+    construction, blames exactly the generator diagonals that fail."""
+    failed = {(chi, chi_prime) for chi, chi_prime, *_ in reference_verify(bd)[1]}
+    assert bool(failed) == bool(failed & generator_rows(bd.n))
+    diagonals = [(e, e) for e in bd.characters if e.mask.bit_count() == 1 and (e, e) in failed]
+    try:
+        derive_from_generators(
+            generators(bd),
+            dict(bd.D),
+            group_spec=bd.group_spec,
+            points_c=dict(bd.points_c),
+            points_p1=bd.points_p1,
+        )
+    except ConsistencyError as error:
+        if "zero classes" not in str(error):  # a relation failed
+            assert error.failures, "no generator diagonal among the failures"
+            assert [(f.chi, f.chi_prime) for f in error.failures] == diagonals
+            return
+    assert not diagonals
+
+
+@pytest.mark.parametrize(
+    "bd",
+    [construct_etale(k) for k in range(1, 6)] + [construct_family(3)],
+    ids=[f"etale{k}" for k in range(1, 6)] + ["family3"],
+)
+def test_the_completion_runs_exactly_the_non_diagonal_rows_of_g(bd, monkeypatch):
+    forwards = []
+    branch_sum = cover.Relation.branch_sum
+
+    def recorded(self, D, start, *args):
+        if isinstance(start, SurfaceClass):  # the verifier sums term tuples, not classes
+            forwards.append((self.chi, self.chi_prime))
+        return branch_sum(self, D, start, *args)
+
+    monkeypatch.setattr(cover.Relation, "branch_sum", recorded)
+    derive_from_generators(
+        generators(bd),
+        dict(bd.D),
+        group_spec=bd.group_spec,
+        points_c=dict(bd.points_c),
+        points_p1=bd.points_p1,
+    )
+    rows = generator_rows(bd.n)
+    assert len(rows) == 2**bd.n - 1
+    assert sorted(forwards) == sorted((chi, h) for chi, h in rows if chi != h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(building_data())
+def test_random_data_fails_only_on_a_row_of_g(case):
+    assert_fails_only_on_a_row_of_g(case[0])
+
+
+# Every single-torsion mutant, except at etale k = 5: its 961 mutants take
+# about a minute of the all-pairs reference, so each character is shifted once.
+@pytest.mark.parametrize(
+    "bd, stride",
+    [(construct_family(3), 1), (construct_family(8), 1), (construct_etale(3), 1),
+     (construct_etale(4), 1), (construct_etale(5), 32)],
+    ids=["family3", "family8", "etale3", "etale4", "etale5"],
+)
+def test_single_torsion_mutants_fail_only_on_a_row_of_g(bd, stride):
+    assert_fails_only_on_a_row_of_g(bd)
+    for _, _, mutant in itertools.islice(single_torsion_mutations(bd), 0, None, stride):
+        assert_fails_only_on_a_row_of_g(mutant)
+
+
+FAMILIES = {n: construct_family(n) for n in (3, 5)}
+
+
+@st.composite
+def free_shifts(draw):
+    """Family n = 3 or 5 with one to three classes shifted by a free generator or its negative."""
+    bd = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    spec, L = bd.group_spec, dict(bd.L)
+    for chi in draw(st.lists(st.sampled_from(bd.characters), min_size=1, max_size=3, unique=True)):
+        g = spec.free_generator(draw(st.integers(0, spec.rank - 1)))
+        L[chi] = L[chi] + SurfaceClass(0, 0, draw(st.sampled_from([g, -g])))
+    return replace(bd, L=L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(free_shifts())
+def test_free_generator_shifts_fail_only_on_a_row_of_g(bd):
+    assert_fails_only_on_a_row_of_g(bd)
+
+
+def test_a_completion_that_makes_a_class_zero_names_it():
+    """Etale k = 2 with L01 = L10 = t: every relation holds, and L11 = 2t = 0."""
+    spec = GroupSpec(0, (2, 2))
+    t = SurfaceClass(0, 0, spec.torsion_generator(0))
+    ones = {Character.from_string("01"): t, Character.from_string("10"): t}
+    with pytest.raises(ConsistencyError, match="zero classes: L_11$") as info:
+        derive_from_generators(ones, {}, group_spec=spec)
+    assert info.value.failures == (Character.from_string("11"),)
 
 
 # -- realize against the pair-by-pair reference -------------------------------
