@@ -38,7 +38,7 @@ from typing import Any, Iterator, Sequence
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters
-from .cover import BuildingData, Fiber, relations, verify_relations
+from .cover import BuildingData, Fiber, generating_relations, verify_relations
 from .picard import SurfaceClass, elliptic_fiber_class
 
 
@@ -184,9 +184,9 @@ def relations_table(bd: BuildingData) -> list[dict[str, Any]]:
     """
     twice_halved = _twice_halved_sum(bd)
     failures = {(f.chi, f.chi_prime): f for f in verify_relations(bd).failures}
-    # Pairs of generators 100, 010, 001 from the top; the table reads (lower, higher).
+    # G's rows among the generators 100, 010, 001, from the top; the table reads (lower, higher).
     generator_rows = sorted(
-        (r for r in relations(bd.n) if r.chi.mask.bit_count() == r.chi_prime.mask.bit_count() == 1),
+        (r for r in generating_relations(bd.n) if r.chi.mask.bit_count() == 1),
         key=lambda r: (r.chi_prime, r.chi),
         reverse=True,
     )

@@ -13,9 +13,10 @@ where L of the trivial character is read as the zero class.  The pair
 condition with chi = chi' specialises to 2 L_chi == sum over chi(sigma) = -1,
 the "diagonal" relations.
 
-:func:`relations` is the single source of these relations, one row per
-pair, which the verifier, the generator completion and the curve oracle
-evaluate in their own arithmetic; the relations table reads the verifier's.
+:func:`relations` is the one table of these relations, a row per pair; its
+2^n - 1 rows :func:`generating_relations`, G(n), decide them all.  The
+verifier and the curve oracle evaluate G, and the full table only to list
+failures; the completion runs G forwards; the relations table reads the verifier.
 :class:`BuildingData`, n read from its characters, is the one gate for shape.
 
 Branch components here are always whole fibers of one of the two rulings,
@@ -36,7 +37,7 @@ import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters, nontrivial_elements
@@ -158,41 +159,27 @@ class BuildingData:
     def verification(self) -> VerificationReport:
         """The report of :func:`verify_relations`, computed once per instance.
 
-        A side of a relation is a tuple of ``(a, degree, pic0, -pic0)`` terms,
-        one per class it adds, so adding two sides concatenates them.  A row
-        holds when the ``a`` and the degrees sum alike on both sides and the
-        degree-zero parts of the left minus those of the right sum to zero:
-        one signed sum per row, with every class negated once.  The sides
-        of a failing row are summed into surface classes for the report.
+        A side is a tuple of classes, totalled by one sum into (a, degree,
+        pic0); a failing row's totals become the report's classes.  The rows
+        of G decide, and the full table is evaluated only to list failures.
         """
         spec = self.group_spec
-        table = relations(self.n)
+        L = {chi: (cls,) for chi, cls in self.L.items()}
+        branch = {sigma: (self.branch_class_of(sigma),) for sigma in self.elements}
 
-        def term(cls: SurfaceClass) -> tuple[tuple[int, int, GroupElement, GroupElement]]:
-            return ((cls.a, cls.degree, cls.pic0, -cls.pic0),)
+        def total(side: tuple[SurfaceClass, ...]) -> tuple[int, int, GroupElement]:
+            pic0 = spec.sum(c.pic0 for c in side)
+            return sum(c.a for c in side), sum(c.degree for c in side), pic0
 
-        def side_class(side: tuple) -> SurfaceClass:
-            return SurfaceClass(
-                sum(t[0] for t in side), sum(t[1] for t in side), spec.sum(t[2] for t in side)
-            )
+        def failures(table: tuple[Relation, ...]) -> tuple[RelationFailure, ...]:
+            sides = ((r, *map(total, r.sides(L, branch, ()))) for r in table)
+            return tuple(RelationFailure(r.chi, r.chi_prime, SurfaceClass(*lhs), SurfaceClass(*rhs))
+                         for r, lhs, rhs in sides if lhs != rhs)
 
-        L = {chi: term(cls) for chi, cls in self.L.items()}
-        branch = {sigma: term(self.branch_class_of(sigma)) for sigma in self.elements}
-        failures = []
-        for r in table:
-            lhs, rhs = r.sides(L, branch, ())
-            holds = (
-                sum(t[0] for t in lhs) == sum(t[0] for t in rhs)
-                and sum(t[1] for t in lhs) == sum(t[1] for t in rhs)
-                and spec.sum(itertools.chain((t[2] for t in lhs), (t[3] for t in rhs))).is_zero()
-            )
-            if not holds:
-                failures.append(
-                    RelationFailure(r.chi, r.chi_prime, side_class(lhs), side_class(rhs))
-                )
+        failed = failures(generating_relations(self.n)) and failures(relations(self.n))
         trivial = tuple(chi for chi in self.characters if self.L[chi].is_zero())
-        ok = not failures and not trivial
-        return VerificationReport(ok, len(table), tuple(failures), trivial)
+        ok = not failed and not trivial
+        return VerificationReport(ok, 2 ** (self.n - 1) * (2**self.n - 1), failed, trivial)
 
 
 @dataclass(frozen=True)
@@ -215,19 +202,36 @@ class Relation:
         return add(L[self.chi], L[self.chi_prime]), rhs
 
 
-@lru_cache(maxsize=None)
-def relations(n: int) -> tuple[Relation, ...]:
-    """One relation per unordered pair of nontrivial characters, diagonal
-    included, in lexicographic pair order.  chi(sigma) = -1 exactly when
-    the masks of chi and sigma share an odd number of bits."""
+def _rows(n: int, pairs: Iterable[tuple[Character, Character]]) -> tuple[Relation, ...]:
+    """The relation of each pair.  chi(sigma) = -1 exactly when the masks of
+    chi and sigma share an odd number of bits."""
     chars, elements = nontrivial_characters(n), nontrivial_elements(n)
     odd = {chi: [s for s in elements if (chi.mask & s.mask).bit_count() & 1] for chi in chars}
     table = []
-    for chi, chi_prime in itertools.combinations_with_replacement(chars, 2):
+    for chi, chi_prime in pairs:
         product, mask = chi * chi_prime, chi_prime.mask
         sigmas = tuple(s for s in odd[chi] if (mask & s.mask).bit_count() & 1)
         table.append(Relation(chi, chi_prime, None if product.is_trivial() else product, sigmas))
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def relations(n: int) -> tuple[Relation, ...]:
+    """One relation per unordered pair of nontrivial characters, diagonal
+    included, in lexicographic pair order: 2^(n-1) (2^n - 1) rows."""
+    return _rows(n, itertools.combinations_with_replacement(nontrivial_characters(n), 2))
+
+
+@lru_cache(maxsize=None)
+def generating_relations(n: int) -> tuple[Relation, ...]:
+    """G(n), the 2^n - 1 rows (c, e) of :func:`relations` with e of weight one
+    and c <= e, in table order: each generator diagonal (e, e), and (chi.h, h)
+    for every chi of weight >= 2, h its highest generator.  f(chi, chi') = L_chi
+    + L_chi' - L_{chi.chi'} - D_{chi,chi'} is a 2-cocycle in any abelian group
+    (Pardini 1991), so data that holds on G(n) holds on every row."""
+    chars = nontrivial_characters(n)
+    weight_one = [e for e in chars if e.mask.bit_count() == 1]
+    return _rows(n, ((c, e) for c in chars for e in weight_one if c.mask <= e.mask))
 
 
 @dataclass(frozen=True)
@@ -255,12 +259,10 @@ class VerificationReport:
 
 
 def verify_relations(bd: BuildingData) -> VerificationReport:
-    """Check every unordered pair of nontrivial characters, diagonal included.
-
-    Pairs are processed and reported in lexicographic order, so the report
-    is deterministic.  The data is immutable, so the check runs once per
-    instance; later calls read the memo :attr:`BuildingData.verification`.
-    """
+    """Decide every unordered pair of nontrivial characters, diagonal included,
+    and list the failing ones in lexicographic order.  The data is immutable,
+    so the check runs once per instance; later calls read the memo
+    :attr:`BuildingData.verification`."""
     return bd.verification
 
 
@@ -313,16 +315,15 @@ def derive_from_generators(
 ) -> BuildingData:
     """Complete ``generators``, the k weight-one classes (k in 1..8), to full data.
 
-    Every other class is forced by the relation of chi.e with e, for a
-    generator e in chi:
+    Every other class is forced by a non-diagonal row (chi.e, e) of
+    :func:`generating_relations`, e the highest generator in chi:
 
         L_chi = L_e + L_{chi.e} - sum of D_sigma over the sigma
                 with e(sigma) = (chi.e)(sigma) = -1.
 
-    These rows hold by construction and f(chi, chi') = L_chi + L_chi' -
-    L_{chi.chi'} - D_{chi,chi'} is a 2-cocycle, so the completed data fails a
-    relation only if a generator diagonal 2 L_e == sum of D_sigma over
-    e(sigma) = -1 fails: a ConsistencyError names those, else any zero class.
+    These rows hold by construction, so the completed data fails a relation
+    only if a generator diagonal 2 L_e == sum of D_sigma over e(sigma) = -1
+    fails: a ConsistencyError names those, else any zero class.
     """
     k = len(generators)
     chars = nontrivial_characters(k)  # a ValueError unless 1 <= k <= 8
@@ -334,12 +335,11 @@ def derive_from_generators(
     branch = {sigma: branch.get(sigma, ()) for sigma in nontrivial_elements(k)}
     draft = BuildingData(group_spec, points_c, points_p1, dict.fromkeys(chars, zero), branch)
     branch_classes = {sigma: draft.branch_class_of(sigma) for sigma in draft.elements}
-    # With e the highest generator in chi, the row (chi.e, e) comes after
-    # every row that completes chi.e, so one pass in table order suffices.
+    # The row (chi.e, e) comes after the row that completes chi.e, so one
+    # pass over G in table order fills every class.
     L = dict(generators)
-    for r in relations(k):
-        completes = r.chi in L and r.chi_prime.mask.bit_count() == 1 and r.product is not None
-        if completes and r.product not in L:
+    for r in generating_relations(k):
+        if r.product is not None:
             L[r.product] = L[r.chi] + L[r.chi_prime] - r.branch_sum(branch_classes, zero)
 
     bd = replace(draft, L=L)

@@ -30,13 +30,14 @@ r <= 2, so the search keeps one point per tuple of lines <(m/ℓ)·P>.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .abgroup import GroupElement
 from .characters import Character
-from .cover import BuildingData, Fiber, relations, verify_relations
+from .cover import BuildingData, Fiber, Relation, generating_relations, relations, verify_relations
 
 MAX_EXHAUSTIVE_PRIME = 10_000
 ATTEMPTS = 400  # draws of free-generator images before find_assignment gives up
@@ -288,18 +289,16 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
         for chi, cls in bd.L.items()
     }
     D = {sigma: reduce(add, map(component, bd.branch(sigma)), zero) for sigma in bd.elements}
-    table = relations(bd.n)
-    relation_failures = []
-    for r in table:
-        lhs, rhs = r.sides(L, D, zero, add)
-        if lhs != rhs:
-            relation_failures.append((r.chi, r.chi_prime))
 
+    def failures(table: tuple[Relation, ...]) -> tuple[tuple[Character, Character], ...]:
+        return tuple((r.chi, r.chi_prime) for r in table if operator.ne(*r.sides(L, D, zero, add)))
+
+    # The curve's arithmetic is an abelian group too, so G decides here as in the model.
+    relation_failures = failures(generating_relations(bd.n)) and failures(relations(bd.n))
     injective = not collisions
     ok = torsion_faithful and injective and not relation_failures
-    return RealizationReport(
-        ok, len(table), tuple(relation_failures), injective, collisions, torsion_faithful
-    )
+    pairs = 2 ** (bd.n - 1) * (2**bd.n - 1)
+    return RealizationReport(ok, pairs, relation_failures, injective, collisions, torsion_faithful)
 
 
 def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:

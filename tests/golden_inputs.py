@@ -32,6 +32,10 @@ def documents():
         # points of one class fail smoothness though no fiber names F1_1.
         "f11_as_f1": replace(family3, points_c={**points, "F1_1": points["F1"]}),
         "etale3": construct_etale(3),
+        "etale8": construct_etale(8),
+        # L00001 shifted by the last torsion generator: the 45 pairs that
+        # hold it in one slot or as their product fail.
+        "mutant_etale5": next(single_torsion_mutations(construct_etale(5)))[2],
     }
 
 

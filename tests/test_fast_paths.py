@@ -406,7 +406,7 @@ def test_each_relation_is_decided_by_one_sum(n, monkeypatch):
     monkeypatch.setattr(GroupSpec, "sum", counting_sum)
     report = verify_relations(bd)
     assert report.ok and report.pairs_checked == 28
-    assert sums <= 7 + 28  # one per branch class, then one per relation
+    assert sums == 7 + 2 * 7  # one per branch class, then one per side of each row of G
 
 
 @pytest.mark.parametrize("n", [3, 200])
@@ -429,7 +429,7 @@ def test_the_table_forms_the_verifiers_branch_classes_and_d111_alone(n, monkeypa
     monkeypatch.setattr(cover.Relation, "branch_sum", counting_sum)
     assert all(row["equal"] for row in relations_table(bd))
     assert formed == 7 + 1  # one per D_sigma in the verifier, then D_111 for the table's unit
-    assert evaluated == 28  # every relation once, all of them in the verifier
+    assert evaluated == 7  # each row of G once, all of them in the verifier
 
 
 def test_the_shared_parser_answers_like_a_fresh_process(tmp_path, monkeypatch, capsys):

@@ -17,18 +17,25 @@ from z2covers import characters, cover
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, nontrivial_characters, nontrivial_elements, pair
 from z2covers.cli import verify_report
-from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
+from z2covers.construction import (
+    construct_etale,
+    construct_family,
+    relations_table,
+    single_torsion_mutations,
+)
 from z2covers.cover import (
     BuildingData,
     ConsistencyError,
     Fiber,
     branch_class,
     derive_from_generators,
+    generating_relations,
     relations,
     verify_relations,
 )
 from z2covers.curve_oracle import (
     INFINITY,
+    Assignment,
     CurveOverFp,
     RealizationReport,
     find_assignment,
@@ -151,11 +158,13 @@ def test_the_table_never_calls_the_pairing(monkeypatch):
     with pytest.raises(AssertionError):
         characters.pair(nontrivial_characters(2)[0], nontrivial_elements(2)[0])
     relations.cache_clear()
+    generating_relations.cache_clear()
     try:
-        table = relations(6)
+        table, rows = relations(6), generating_relations(6)
     finally:
         relations.cache_clear()
-    assert len(table) == 2016
+        generating_relations.cache_clear()
+    assert len(table) == 2016 and len(rows) == 63
 
 
 def test_table_is_built_once_per_n():
@@ -323,7 +332,7 @@ def test_the_completion_runs_exactly_the_non_diagonal_rows_of_g(bd, monkeypatch)
     branch_sum = cover.Relation.branch_sum
 
     def recorded(self, D, start, *args):
-        if isinstance(start, SurfaceClass):  # the verifier sums term tuples, not classes
+        if isinstance(start, SurfaceClass):  # a verifier side is a tuple of classes, one sum
             forwards.append((self.chi, self.chi_prime))
         return branch_sum(self, D, start, *args)
 
@@ -338,6 +347,25 @@ def test_the_completion_runs_exactly_the_non_diagonal_rows_of_g(bd, monkeypatch)
     rows = generator_rows(bd.n)
     assert len(rows) == 2**bd.n - 1
     assert sorted(forwards) == sorted((chi, h) for chi, h in rows if chi != h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_generating_relations_are_the_rows_of_g_in_table_order(n):
+    table = {(r.chi, r.chi_prime): r for r in relations(n)}
+    rows = generating_relations(n)
+    assert [(r.chi, r.chi_prime) for r in rows] == sorted(generator_rows(n))
+    assert all(r == table[r.chi, r.chi_prime] for r in rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_every_pair_is_counted_as_checked(k):
+    """The counts are of the rows certified, not of the rows evaluated.  The
+    curve cannot hold (Z/2)^k for k > 2, so every torsion image is O here."""
+    bd = construct_etale(k)
+    pairs = 2 ** (k - 1) * (2**k - 1)
+    assert verify_relations(bd).pairs_checked == pairs
+    report = realize(bd, CURVE, Assignment((), (INFINITY,) * k))
+    assert report.relations_checked == pairs and not report.relation_failures
 
 
 @settings(max_examples=150, deadline=None)
@@ -463,7 +491,7 @@ def relation_evaluations(monkeypatch):
 def test_one_verify_report_runs_the_pair_loop_once(relation_evaluations):
     report = verify_report(construct_family(3))
     assert report["invariants"] is not None and report["canonical_map"]["degree"] == 8
-    assert relation_evaluations == [(r.chi, r.chi_prime) for r in relations(3)]
+    assert relation_evaluations == sorted(generator_rows(3))  # the 7 rows of G, in table order
 
 
 def test_invariants_still_refuse_data_that_fails_the_relations(relation_evaluations):
@@ -472,7 +500,29 @@ def test_invariants_still_refuse_data_that_fails_the_relations(relation_evaluati
         compute_invariants(mutant)
     with pytest.raises(ValueError):
         compute_invariants(mutant)
-    assert len(relation_evaluations) == len(relations(3))
+    assert len(relation_evaluations) == 7 + 28  # G, then the full table, once
+
+
+def test_accepting_data_never_builds_the_full_table(relation_evaluations):
+    """Each check of accepted data evaluates the 2^k - 1 rows of G, once, and
+    never builds relations(n): not in verify, realize or table."""
+
+    def check(run, n):
+        relation_evaluations.clear()
+        run()
+        assert relation_evaluations == sorted(generator_rows(n))
+
+    relations.cache_clear()
+    try:
+        check(lambda: verify_report(construct_etale(8)), 8)
+        check(lambda: verify_report(construct_family(64)), 3)
+        bd = construct_family(3)
+        assignment = find_assignment(bd, CURVE)
+        check(lambda: relations_table(construct_family(3)), 3)
+        check(lambda: realize(bd, CURVE, assignment), 3)
+        assert relations.cache_info().currsize == 0
+    finally:
+        relations.cache_clear()
 
 
 def test_a_changed_copy_is_checked_afresh():
