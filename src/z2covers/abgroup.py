@@ -13,35 +13,45 @@ arithmetic costs O(nonzeros + number of torsion factors), not O(rank).
 Only the dense constructor :meth:`GroupSpec.element` and the dense view
 ``free`` touch every coordinate.
 
-Everything here is immutable and hashable; operations are pure functions,
-so values can be shared freely between threads or tasks.
+Everything here is an immutable, hashable named tuple; operations are pure
+functions, so values can be shared freely between threads or tasks.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import KW_ONLY, dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Shape of the group Z^rank + Z/m_1 + ... + Z/m_k."""
-
+class _GroupSpecFields(NamedTuple):
     rank: int
     torsion_orders: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "torsion_orders", tuple(self.torsion_orders))
-        if self.rank < 0:
+
+class GroupSpec(_GroupSpecFields):
+    """Shape of the group Z^rank + Z/m_1 + ... + Z/m_k."""
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, torsion_orders: Iterable[int] = ()) -> "GroupSpec":
+        torsion_orders = tuple(torsion_orders)
+        if rank < 0:
             raise ValueError("rank must be non-negative")
-        if any(m < 2 for m in self.torsion_orders):
+        if any(m < 2 for m in torsion_orders):
             raise ValueError("torsion orders must all be >= 2")
+        return super().__new__(cls, rank, torsion_orders)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "GroupSpec":
+        return cls(*iterable)  # so _replace checks as the constructor does
 
     def element(self, free=(), tors=()) -> "GroupElement":
         """The element with dense free coordinates ``free`` and torsion
-        coordinates ``tors`` (reduced here)."""
+        coordinates ``tors`` (reduced here).  Each nonzero free coordinate and
+        each reduced torsion coordinate must be an ``int``, else ValueError:
+        ``True`` and ``1.0`` equal 1, but a file would hold them as ``true``
+        and ``1.0``, which the reader refuses."""
         if type(free) is not list:  # a parsed list is scanned in place, not copied
             free = tuple(free)
         tors = tuple(tors)
@@ -55,10 +65,15 @@ class GroupSpec:
         terms = []
         i = 0
         for v in filter(None, free):  # the nonzero coordinates; both scans run in C
+            if type(v) is not int:
+                raise ValueError(f"free coordinates must be integers, got {v!r}")
             i = free.index(v, i)
             terms.append((i, v))
             i += 1
-        return GroupElement(self, terms=tuple(terms), tors=self._reduce(tors))
+        tors = self._reduce(tors)
+        if operator.countOf(map(type, tors), int) != len(tors):  # 1.0 % 2 stays a float
+            raise ValueError(f"torsion coordinates must be integers, got {list(tors)}")
+        return GroupElement(self, terms=tuple(terms), tors=tors)
 
     def _reduce(self, tors: Iterable[int]) -> tuple[int, ...]:
         return tuple(map(operator.mod, tors, self.torsion_orders))
@@ -109,8 +124,13 @@ def _check_spec(a: GroupSpec, b: GroupSpec) -> None:
         raise ValueError("elements of different groups cannot be combined")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class GroupElement:
+class _GroupElementFields(NamedTuple):
+    spec: GroupSpec
+    terms: tuple[tuple[int, int], ...]
+    tors: tuple[int, ...]
+
+
+class GroupElement(_GroupElementFields):
     """An element, split into free and torsion coordinates.
 
     ``terms`` holds the nonzero free coordinates as (index, value) pairs in
@@ -121,10 +141,13 @@ class GroupElement:
     ``tors`` are keyword-only, so a dense positional call fails loudly.
     """
 
-    spec: GroupSpec
-    _: KW_ONLY
-    terms: tuple[tuple[int, int], ...]
-    tors: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, spec: GroupSpec, *, terms: tuple, tors: tuple) -> "GroupElement":
+        return tuple.__new__(cls, (spec, terms, tors))
+
+    def __getnewargs_ex__(self) -> tuple[tuple, dict]:  # for copy and pickle
+        return (self.spec,), {"terms": self.terms, "tors": self.tors}
 
     @property
     def free(self) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ so the inner product is the parity of the popcount of ``j & sigma``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Iterable
 
@@ -27,14 +26,11 @@ def _check_n(n: int) -> None:
 
 
 @total_ordering
-@dataclass(frozen=True, init=False)
 class _BitVector:
     """A vector of Z_2^n held as the n-bit int ``mask``, first coordinate
-    highest.  Vectors of one subclass sort like their bit strings; a vector
-    never equals one of another subclass, whatever its bits."""
-
-    n: int
-    mask: int
+    highest, and immutable.  Vectors of one subclass sort like their bit
+    strings; a vector never equals one of another subclass, whatever its bits,
+    which is why this is a plain class and not a tuple."""
 
     def __init__(self, bits: Iterable[int]) -> None:
         bits = tuple(bits)
@@ -65,10 +61,27 @@ class _BitVector:
             raise ValueError("vectors of different Z_2^n cannot be combined")
         return self._of(self.n, self.mask ^ other.mask)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
+
     def __lt__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return str(self) < str(other)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, mask={self.mask!r})"
 
     def __str__(self) -> str:
         return format(self.mask, f"0{self.n}b")

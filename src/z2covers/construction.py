@@ -33,7 +33,6 @@ of 2 y = F_i + F_i'; all choices produce data with identical invariants.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Iterator, Sequence
 
 from .abgroup import GroupElement, GroupSpec
@@ -136,7 +135,7 @@ def single_torsion_mutations(
         for t in shifts:
             shifted = dict(bd.L)
             shifted[chi] = bd.L[chi] + SurfaceClass(0, 0, t)
-            yield chi, t, replace(bd, L=shifted)
+            yield chi, t, bd._replace(L=shifted)
 
 
 def _twice_halved_sum(bd: BuildingData) -> SurfaceClass:
@@ -148,7 +147,7 @@ def _twice_halved_sum(bd: BuildingData) -> SurfaceClass:
     d111 = bd.branch_class_of(CoverElement.from_string("111"))
     if d111.degree % 2 or d111.degree < 4:
         raise ValueError(f"relations table needs D111 of even degree >= 4, got {d111.degree}")
-    return SurfaceClass(0, d111.degree, replace(d111.pic0, tors=(0, 0)))
+    return SurfaceClass(0, d111.degree, d111.pic0._replace(tors=(0, 0)))
 
 
 # The family's 2-torsion over Z/2 + Z/2, named by its torsion coordinates.

@@ -34,18 +34,16 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement, nontrivial_characters, nontrivial_elements
 from .picard import SurfaceClass
 
 
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(NamedTuple):
     """A branch component: the whole fiber over the point ``label``.
 
     Kind "E" is the elliptic fiber {t} x C over a point of the rational
@@ -70,8 +68,15 @@ def branch_class(
     return SurfaceClass(len(fibers) - len(points), len(points), spec.sum(points))
 
 
-@dataclass(frozen=True)
-class BuildingData:
+class _BuildingDataFields(NamedTuple):
+    group_spec: GroupSpec
+    points_c: Mapping[str, GroupElement]
+    points_p1: tuple[str, ...]
+    L: Mapping[Character, SurfaceClass]
+    D: Mapping[CoverElement, tuple[Fiber, ...]]
+
+
+class BuildingData(_BuildingDataFields):
     """Candidate building data for a Z_2^n cover, n in 1..8 read from L as ``n``.
 
     ``points_c`` maps the label of every named point of the elliptic curve to
@@ -82,16 +87,21 @@ class BuildingData:
     kind "E" or "F" over a point registered for its kind, one group model
     throughout); whether the data defines a smooth cover is the verifiers'
     business, and they report rather than raise.
+
+    The instance is immutable; its ``__dict__`` holds only the memos of
+    :attr:`verification` and :func:`~z2covers.invariants.compute_invariants`.
+    ``_replace`` builds through the constructor, so it checks shape too.
     """
 
-    group_spec: GroupSpec
-    points_c: Mapping[str, GroupElement]
-    points_p1: tuple[str, ...]
-    L: Mapping[Character, SurfaceClass]
-    D: Mapping[CoverElement, tuple[Fiber, ...]]
-
-    def __post_init__(self) -> None:
-        L = dict(self.L)
+    def __new__(
+        cls,
+        group_spec: GroupSpec,
+        points_c: Mapping[str, GroupElement],
+        points_p1: Iterable[str],
+        L: Mapping[Character, SurfaceClass],
+        D: Mapping[CoverElement, Iterable[Fiber]],
+    ) -> "BuildingData":
+        L = dict(L)
         if not all(isinstance(chi, Character) for chi in L):
             raise ValueError("L must be keyed by characters")
         lengths = {chi.n for chi in L}
@@ -100,11 +110,11 @@ class BuildingData:
         (n,) = lengths
         chars, sigmas = nontrivial_characters(n), nontrivial_elements(n)
 
-        points_c = dict(self.points_c)
+        points_c = dict(points_c)
         for label, aj in points_c.items():
-            if aj.spec != self.group_spec:
+            if aj.spec != group_spec:
                 raise ValueError(f"point {label!r} lives in a different group model")
-        points_p1 = tuple(self.points_p1)
+        points_p1 = tuple(points_p1)
         if len(set(points_p1)) != len(points_p1):
             raise ValueError("duplicate labels among rational-curve points")
         registered = {
@@ -114,24 +124,29 @@ class BuildingData:
 
         if set(L) != set(chars):
             raise ValueError("need a class L_chi for exactly the nontrivial characters")
-        for chi, cls in L.items():
-            if cls.spec != self.group_spec:
+        for chi, value in L.items():
+            if value.spec != group_spec:
                 raise ValueError(f"L_{chi} lives in a different group model")
 
-        D = {sigma: tuple(self.D.get(sigma, ())) for sigma in sigmas}
-        if not set(self.D) <= set(sigmas):
+        branch = {sigma: tuple(D.get(sigma, ())) for sigma in sigmas}
+        if not set(D) <= set(sigmas):
             raise ValueError("branch divisors must be indexed by nontrivial group elements")
-        for fiber in itertools.chain.from_iterable(D.values()):
+        for fiber in itertools.chain.from_iterable(branch.values()):
             if fiber.kind not in ("E", "F"):  # compared, not hashed: a kind from JSON may be a list
                 raise ValueError(f"unknown component kind {fiber.kind!r}")
             curve, labels = registered[fiber.kind]
             if fiber.label not in labels:
                 raise ValueError(f"component over unregistered {curve} point {fiber.label!r}")
 
-        object.__setattr__(self, "points_c", MappingProxyType(points_c))
-        object.__setattr__(self, "points_p1", points_p1)
-        object.__setattr__(self, "L", MappingProxyType(L))
-        object.__setattr__(self, "D", MappingProxyType(D))
+        return super().__new__(cls, group_spec, MappingProxyType(points_c), points_p1,
+                               MappingProxyType(L), MappingProxyType(branch))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "BuildingData":
+        return cls(*iterable)  # so _replace runs the checks above
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def n(self) -> int:
@@ -182,8 +197,7 @@ class BuildingData:
         return VerificationReport(ok, 2 ** (self.n - 1) * (2**self.n - 1), failed, trivial)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """L_chi + L_chi' == L_product + sum of D_sigma over ``sigmas``, the sigma
     with chi(sigma) = chi'(sigma) = -1; ``product`` is None when trivial."""
 
@@ -234,16 +248,14 @@ def generating_relations(n: int) -> tuple[Relation, ...]:
     return _rows(n, ((c, e) for c in chars for e in weight_one if c.mask <= e.mask))
 
 
-@dataclass(frozen=True)
-class RelationFailure:
+class RelationFailure(NamedTuple):
     chi: Character
     chi_prime: Character
     lhs: SurfaceClass
     rhs: SurfaceClass
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking the cover relations over all character pairs.
 
     ``failures`` lists every violated pair with both sides.
@@ -266,8 +278,7 @@ def verify_relations(bd: BuildingData) -> VerificationReport:
     return bd.verification
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     """Combinatorial smoothness evidence for the total branch locus.
 
     ``reduced``: all branch components pairwise distinct.
@@ -342,7 +353,7 @@ def derive_from_generators(
         if r.product is not None:
             L[r.product] = L[r.chi] + L[r.chi_prime] - r.branch_sum(branch_classes, zero)
 
-    bd = replace(draft, L=L)
+    bd = draft._replace(L=L)
     report = verify_relations(bd)
     if report.failures:
         diagonal = [f for f in report.failures if f.chi == f.chi_prime and f.chi in generators]

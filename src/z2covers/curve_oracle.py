@@ -32,8 +32,8 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 from .abgroup import GroupElement
 from .characters import Character
@@ -187,16 +187,14 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Images of the group model's generators on a concrete curve."""
 
     free_points: tuple[_Point, ...]
     torsion_points: tuple[_Point, ...]
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(NamedTuple):
     """Outcome of re-checking the abstract identities with curve arithmetic."""
 
     ok: bool

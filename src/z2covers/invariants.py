@@ -28,17 +28,15 @@ minimal and of general type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .characters import Character, pair
 from .cover import BuildingData, verify_relations
 from .picard import canonical_class, h0, intersect, is_base_point_free, map_analysis
 
 
-@dataclass(frozen=True)
-class CoverInvariants:
+class _CoverInvariantsFields(NamedTuple):
     k_squared: int
     p_g: int
     chi: int
@@ -46,13 +44,25 @@ class CoverInvariants:
     h0_by_character: Mapping[Character, int]
     nef_and_big: bool  # of K_X; when true, X is minimal of general type
 
-    def __post_init__(self) -> None:
-        if self.q != self.p_g - self.chi + 1:
+
+class CoverInvariants(_CoverInvariantsFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, k_squared: int, p_g: int, chi: int, q: int,
+        h0_by_character: Mapping[Character, int], nef_and_big: bool,
+    ) -> "CoverInvariants":
+        if q != p_g - chi + 1:
             raise ValueError("q, p_g and chi(O) violate the surface identity")
-        if self.k_squared % 2:
+        if k_squared % 2:
             raise ValueError("K^2 of a cover of this base must be even")
         # Read-only: compute_invariants hands the same instance to every caller.
-        object.__setattr__(self, "h0_by_character", MappingProxyType(dict(self.h0_by_character)))
+        h0_by_character = MappingProxyType(dict(h0_by_character))
+        return super().__new__(cls, k_squared, p_g, chi, q, h0_by_character, nef_and_big)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CoverInvariants":
+        return cls(*iterable)  # so _replace checks as the constructor does
 
 
 def _require_verified(bd: BuildingData) -> None:
@@ -102,8 +112,7 @@ def _evaluate(bd: BuildingData) -> CoverInvariants:
     return CoverInvariants(k_squared, p_g, chi_sum, p_g - chi_sum + 1, h0_by, nef_and_big)
 
 
-@dataclass(frozen=True)
-class CanonicalMapReport:
+class CanonicalMapReport(NamedTuple):
     """Degree analysis of the canonical map.
 
     ``factors_through_cover`` holds exactly when a single character

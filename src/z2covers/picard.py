@@ -8,7 +8,7 @@ degree-zero class (point - basepoint), an element of the group model, so
 the building data keeps that element and nothing else; a point of the
 rational curve has no class beyond its degree, so it is kept as its label.
 A surface class, a.E plus the pullback of a curve class, is held as the
-three values (a, degree, pic0): the coefficient a, the degree on C and the
+named tuple (a, degree, pic0): the coefficient a, the degree on C and the
 degree-zero part on C, the same three fields the file format and the
 reports write.  Two classes are linearly equivalent exactly when all three
 agree, and arithmetic is componentwise.  The degree-zero part is an element
@@ -33,13 +33,12 @@ onto a line and degree 0 is constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abgroup import GroupElement, GroupSpec
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(NamedTuple):
     """Class a.E + (pullback of a curve class of ``degree`` and degree-zero
     part ``pic0``) on the product surface."""
 
@@ -113,8 +112,7 @@ def is_base_point_free(u: SurfaceClass) -> bool:
     return u.a >= 0 and curve_free
 
 
-@dataclass(frozen=True)
-class MapReport:
+class MapReport(NamedTuple):
     """Outcome of analysing the map given by a complete linear system.
 
     ``map_degree`` and ``image_degree`` are set only when the image is a

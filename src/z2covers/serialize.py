@@ -41,7 +41,6 @@ import operator
 import sys
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import fields, is_dataclass
 from typing import Any, Callable
 
 from .abgroup import GroupElement, GroupSpec
@@ -115,17 +114,17 @@ def surface_class_from_dict(doc: Any, spec: GroupSpec) -> SurfaceClass:
 
 def plain(verdict: Any) -> Any:
     """``verdict`` as JSON values: a group element as in the file, a Z₂ⁿ vector as its bit
-    string, a dataclass by field name (so a surface class as in the file), a mapping with
-    string keys, a tuple as a list."""
+    string, a named tuple by field name (so a surface class as in the file), a mapping with
+    string keys, any other tuple as a list."""
     if type(verdict) is GroupElement:
         return element_to_dict(verdict)
     if isinstance(verdict, (Character, CoverElement)):
         return str(verdict)
-    if is_dataclass(verdict):
-        return {field.name: plain(getattr(verdict, field.name)) for field in fields(verdict)}
     if isinstance(verdict, Mapping):
         return {str(key): plain(value) for key, value in verdict.items()}
     if isinstance(verdict, tuple):
+        if hasattr(verdict, "_fields"):
+            return {name: plain(value) for name, value in zip(verdict._fields, verdict)}
         return [plain(value) for value in verdict]
     return verdict
 

@@ -6,8 +6,6 @@ writes each document to a file named after it in the current directory:
     PYTHONPATH=src python tests/golden_inputs.py
 """
 
-from dataclasses import replace
-
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
 from z2covers.serialize import dumps
 
@@ -25,12 +23,12 @@ def documents():
                           if str(chi) == "111" and t.tors == (1, 0)),
         # F1_1, which no fiber names, with its first free coordinate raised by 1:
         # verify accepts it, and the table reads 2ΣF_ii from D111, so it passes too.
-        "edited_f11": replace(family3, points_c={
+        "edited_f11": family3._replace(points_c={
             **points, "F1_1": points["F1_1"] + family3.group_spec.free_generator(0)
         }),
         # F1_1 given F1's class: the registry is checked whole, so two registered
         # points of one class fail smoothness though no fiber names F1_1.
-        "f11_as_f1": replace(family3, points_c={**points, "F1_1": points["F1"]}),
+        "f11_as_f1": family3._replace(points_c={**points, "F1_1": points["F1"]}),
         "etale3": construct_etale(3),
         "etale8": construct_etale(8),
         # L00001 shifted by the last torsion generator: the 45 pairs that

@@ -5,7 +5,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import fields, replace
 
 import pytest
 
@@ -127,7 +126,7 @@ class TestVerify:
 
     def test_oracle_fail_is_a_verification_failure(self, family_file, monkeypatch, capsys):
         real = cli.realize
-        monkeypatch.setattr(cli, "realize", lambda *args: replace(real(*args), ok=False))
+        monkeypatch.setattr(cli, "realize", lambda *args: real(*args)._replace(ok=False))
         assert main(["verify", str(family_file), "--oracle", "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["relations"]["ok"] is True
@@ -143,13 +142,13 @@ class TestVerify:
             assignment = real(bd, curve)
             free = list(assignment.free_points)
             free[4] = free[3]
-            return replace(assignment, free_points=tuple(free))
+            return assignment._replace(free_points=tuple(free))
 
         monkeypatch.setattr(cli, "find_assignment", merged)
         assert main(["verify", str(family_file), "--oracle", "--format", "json"]) == 1
         oracle = json.loads(capsys.readouterr().out)["oracle"]
         header = {"prime", "a", "b", "order", "invariant_factors"}
-        assert set(oracle) == header | {field.name for field in fields(RealizationReport)}
+        assert set(oracle) == header | set(RealizationReport._fields)
         assert oracle["collisions"] == [["F1", "F2"]]
         assert (oracle["ok"], oracle["injective"]) == (False, False)
 
@@ -284,7 +283,7 @@ class TestSweep:
 
         def node_at_four(bd):
             report = smoothness(bd)
-            return replace(report, snc=False) if bd.group_spec.rank == 2 * 4 + 1 else report
+            return report._replace(snc=False) if bd.group_spec.rank == 2 * 4 + 1 else report
 
         monkeypatch.setattr(cli, "verify_smoothness", node_at_four)
         assert main(["sweep", "2..6"]) == 1

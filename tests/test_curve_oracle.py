@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -262,7 +261,7 @@ class TestRealization:
         with pytest.raises(ValueError):
             curve.add(unreduced, point)
         assert not curve.contains(unreduced)
-        bad = replace(found, free_points=(unreduced, *found.free_points[1:]))
+        bad = found._replace(free_points=(unreduced, *found.free_points[1:]))
         with pytest.raises(ValueError, match="is not on"):
             realize(self.bd, curve, bad)
 
@@ -309,7 +308,7 @@ class TestSoundness:
         spec = bd.group_spec
         shift = SurfaceClass(0, 0, spec.element((1, 1, 0, -1, 0, 0, 0), (0, 0)))
         chi = Character.from_string("100")
-        mutant = replace(bd, L={**bd.L, chi: bd.L[chi] + shift})
+        mutant = bd._replace(L={**bd.L, chi: bd.L[chi] + shift})
         curve = CurveOverFp(2003, -1, 0)
         script = [5, 7, 21, 12, 30, 40, 100]  # 5 + 7 - 12 = 0
 
@@ -339,7 +338,7 @@ class TestSoundness:
         curve = CurveOverFp(2003, -1, 0)
 
         def passing(bd):
-            return replace(verify_relations(bd), failures=())
+            return verify_relations(bd)._replace(failures=())
 
         monkeypatch.setattr(curve_oracle, "verify_relations", passing)
         for _, _, mutant in single_torsion_mutations(construct_family(3)):
@@ -411,7 +410,7 @@ class TestExactInverse:
 def shared_class_family():
     """Family n = 3 with F1' given the class of F1."""
     bd = construct_family(3)
-    return replace(bd, points_c={**bd.points_c, "F1'": bd.points_c["F1"]})
+    return bd._replace(points_c={**bd.points_c, "F1'": bd.points_c["F1"]})
 
 
 SHARED = "points 'F1' and \"F1'\" share one class in the model, so no curve keeps them apart"
@@ -687,7 +686,7 @@ class TestOddTorsion:
         t3, t4 = bd.group_spec.torsion_generator(2), bd.group_spec.torsion_generator(3)
         L = dict(bd.L)
         L[Character.from_string("110")] += SurfaceClass(0, 0, t3 - t4)
-        broken = replace(bd, L=L)
+        broken = bd._replace(L=L)
         assert self.verify(broken, tmp_path) == 1
         out = capsys.readouterr().out
         assert "relations: FAIL" in out

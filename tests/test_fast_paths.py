@@ -14,6 +14,8 @@ its draws on the family and its mutants; a count of
 ``cli.main`` builds its parser once per process; the reference is a fresh
 ``python -m z2covers`` process per call.  The command line's JSON reports
 go through ``serialize.canonical_json``; the reference is again ``json.dumps``.
+``import z2covers`` never reaches ``dataclasses`` or ``inspect``, which with
+the dataclass decorators were the largest part of the package's import.
 """
 
 import argparse
@@ -346,14 +348,14 @@ def elements_created(n, monkeypatch):
     """GroupElement instances built while verifying family member n."""
     bd = construct_family(n)
     created = 0
-    init = GroupElement.__init__
+    new = GroupElement.__new__
 
-    def counting_init(self, *args, **kwargs):
+    def counting_new(cls, *args, **kwargs):
         nonlocal created
         created += 1
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(GroupElement, "__init__", counting_init)
+    monkeypatch.setattr(GroupElement, "__new__", counting_new)
     assert bd.verification.ok
     compute_invariants(bd)
     assert canonical_map_degree(bd).degree == 8
@@ -365,7 +367,20 @@ def test_verification_builds_as_many_elements_at_every_n(monkeypatch):
     assert elements_created(16, monkeypatch) == elements_created(64, monkeypatch)
 
 
-# -- fixed cost per job: the shared parser and one signed sum per relation ---
+# -- fixed costs: the import, the shared parser and one sum per relation -----
+
+
+def test_importing_the_package_never_reaches_dataclasses_or_inspect():
+    probe = (
+        "import sys; before = set(sys.modules); import z2covers; "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == []
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):

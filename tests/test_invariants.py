@@ -1,7 +1,6 @@
 """Invariant formulas, canonical system, canonical map degree."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import event, given, settings
@@ -56,7 +55,7 @@ class TestComputeInvariants:
         broken = dict(bd.L)
         broken[chi("110")] = bd.L[chi("110")] + SurfaceClass(0, 0, spec.torsion_generator(0))
         with pytest.raises(ValueError):
-            compute_invariants(replace(bd, L=broken))
+            compute_invariants(bd._replace(L=broken))
 
     def test_computed_once_per_data_instance(self, monkeypatch):
         evaluated = []
@@ -91,7 +90,7 @@ def two_contributor_variant():
     l = dict(bd.L)
     for name in ("100", "010", "101", "011"):
         l[chi(name)] = l[chi(name)] + e
-    return replace(bd, points_p1=bd.points_p1 + extra, D=d, L=l)
+    return bd._replace(points_p1=bd.points_p1 + extra, D=d, L=l)
 
 
 def single_contributor_with_ramification_correction():

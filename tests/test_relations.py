@@ -6,7 +6,6 @@ all character pairs and all group elements, and it does not read
 """
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -399,7 +398,7 @@ def free_shifts(draw):
     for chi in draw(st.lists(st.sampled_from(bd.characters), min_size=1, max_size=3, unique=True)):
         g = spec.free_generator(draw(st.integers(0, spec.rank - 1)))
         L[chi] = L[chi] + SurfaceClass(0, 0, draw(st.sampled_from([g, -g])))
-    return replace(bd, L=L)
+    return bd._replace(L=L)
 
 
 @settings(max_examples=150, deadline=None)
@@ -531,5 +530,5 @@ def test_a_changed_copy_is_checked_afresh():
     shifted = dict(bd.L)
     chi = bd.characters[0]
     shifted[chi] = bd.L[chi] + SurfaceClass(0, 0, bd.group_spec.torsion_generator(0))
-    assert not verify_relations(replace(bd, L=shifted)).ok
+    assert not verify_relations(bd._replace(L=shifted)).ok
     assert verify_relations(bd).ok

@@ -176,6 +176,27 @@ def test_free_entries_must_be_integers(encode, where):
     _assert_rejected(doc)
 
 
+@pytest.mark.parametrize("free, tors", [
+    ([True, 0, 0, 0, 0], (0, 0)),
+    ([0, 0, 1.0, 0, 0], (0, 0)),
+    ([0, 0, 0, 0, -2.0], (0, 1)),
+    ([0, 0, 0, 0, 0], (1.0, 0)),
+])
+def test_an_element_refuses_a_coordinate_that_dumps_could_not_write(free, tors):
+    # True and 1.0 equal 1, but json writes them as true and 1.0, which loads refuses.
+    spec = construct_family(2).group_spec
+    with pytest.raises(ValueError, match="must be integers"):
+        spec.element(free, tors)
+
+
+def test_zero_coordinates_of_any_type_leave_data_that_round_trips():
+    bd = construct_family(2)
+    point = bd.group_spec.element([False, 0.0, 1, 0, 0], (False, 0))
+    assert point == bd.group_spec.free_generator(2)
+    text = dumps(bd._replace(points_c={**bd.points_c, "F9": point}))
+    assert dumps(loads(text)) == text
+
+
 @pytest.mark.parametrize("token", ["1.0", "1e0", "NaN", "Infinity", "-Infinity"])
 def test_float_tokens_are_refused_by_the_parser(token):
     text = dumps(construct_family(2)).replace('"schema_version": 1', f'"schema_version": {token}')
