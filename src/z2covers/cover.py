@@ -4,20 +4,26 @@ A cover is described by a divisor class L_chi for every nontrivial
 character and an effective branch divisor D_sigma for every nontrivial
 group element (possibly empty).  The data defines a cover exactly when
 every L_chi is a nonzero class, the total branch divisor is reduced, and
-for every pair of nontrivial characters
+the defect of every pair of nontrivial characters vanishes:
 
-    L_chi + L_chi' == L_{chi.chi'} + sum of D_sigma over the sigma
-                      with chi(sigma) = chi'(sigma) = -1,
+    f(chi, chi') = L_chi + L_chi' - L_{chi.chi'} - sum of D_sigma over the
+                   sigma with chi(sigma) = chi'(sigma) = -1,
 
-where L of the trivial character is read as the zero class.  The pair
-condition with chi = chi' specialises to 2 L_chi == sum over chi(sigma) = -1,
-the "diagonal" relations.
+L of the trivial character read as 0; chi = chi' gives the "diagonal" relations.
+f is a symmetric 2-cocycle in any abelian group, so one that vanishes on the
+2^n - 1 rows of :func:`generating_relations`, G(n), vanishes everywhere
+(Pardini 1991).  With d_e = f(e, e) for each generator e, and delta 0 on the
+generators and the trivial character and delta_chi = delta_{chi.h} - f(chi.h, h)
+along G (h the highest generator in chi), G's defects give every pair's:
 
-:func:`relations` is the one table of these relations, a row per pair; its
-2^n - 1 rows :func:`generating_relations`, G(n), decide them all.  The
-verifier and the curve oracle evaluate G, and the full table only to list
-failures; the completion runs G forwards; the relations table reads the verifier.
-:class:`BuildingData`, n read from its characters, is the one gate for shape.
+    f(a, b) = sum of d_e over the e in both a and b + delta_a + delta_b - delta_{a.b}.
+
+Proof: delta = L - L', L' the completion of the generators along G's other
+rows.  The defect of L' and the carry sum, a cocycle too, agree on G, hence
+everywhere; L and L' share D, so f adds delta_a + delta_b - delta_{a.b} to it.
+The verifier and the curve oracle evaluate G and list every failing pair by
+:func:`cocycle_failures`; the completion runs G forwards.  :class:`BuildingData`
+(n read from its characters) is the one gate for shape.
 
 Branch components here are always whole fibers of one of the two rulings,
 held as the file holds them: a :class:`Fiber` of kind "E" or "F" and the
@@ -172,13 +178,9 @@ class BuildingData(_BuildingDataFields):
 
     @cached_property
     def verification(self) -> VerificationReport:
-        """The report of :func:`verify_relations`, computed once per instance.
-
-        A side is a tuple of classes, totalled by one sum into (a, degree,
-        pic0); a failing row's totals become the report's classes.  The rows
-        of G decide, and the full table is evaluated only to list failures.
-        """
-        spec = self.group_spec
+        """The report of :func:`verify_relations`, computed once per instance: each
+        side of a row of G is totalled by one sum, and only a failing row forms a class."""
+        spec, zero = self.group_spec, SurfaceClass.zero(self.group_spec)
         L = {chi: (cls,) for chi, cls in self.L.items()}
         branch = {sigma: (self.branch_class_of(sigma),) for sigma in self.elements}
 
@@ -186,12 +188,12 @@ class BuildingData(_BuildingDataFields):
             pic0 = spec.sum(c.pic0 for c in side)
             return sum(c.a for c in side), sum(c.degree for c in side), pic0
 
-        def failures(table: tuple[Relation, ...]) -> tuple[RelationFailure, ...]:
-            sides = ((r, *map(total, r.sides(L, branch, ()))) for r in table)
-            return tuple(RelationFailure(r.chi, r.chi_prime, SurfaceClass(*lhs), SurfaceClass(*rhs))
-                         for r, lhs, rhs in sides if lhs != rhs)
-
-        failed = failures(generating_relations(self.n)) and failures(relations(self.n))
+        sides = (map(total, r.sides(L, branch, ())) for r in generating_relations(self.n))
+        defects = [zero if lhs == rhs else SurfaceClass(*lhs) - SurfaceClass(*rhs)
+                   for lhs, rhs in sides]
+        failing = cocycle_failures(self.n, defects, zero, operator.add, operator.neg)
+        failed = tuple(RelationFailure(a, b, lhs := self.L[a] + self.L[b], lhs - f)
+                       for a, b, f in failing)
         trivial = tuple(chi for chi in self.characters if self.L[chi].is_zero())
         ok = not failed and not trivial
         return VerificationReport(ok, 2 ** (self.n - 1) * (2**self.n - 1), failed, trivial)
@@ -216,36 +218,44 @@ class Relation(NamedTuple):
         return add(L[self.chi], L[self.chi_prime]), rhs
 
 
-def _rows(n: int, pairs: Iterable[tuple[Character, Character]]) -> tuple[Relation, ...]:
-    """The relation of each pair.  chi(sigma) = -1 exactly when the masks of
-    chi and sigma share an odd number of bits."""
-    chars, elements = nontrivial_characters(n), nontrivial_elements(n)
-    odd = {chi: [s for s in elements if (chi.mask & s.mask).bit_count() & 1] for chi in chars}
-    table = []
-    for chi, chi_prime in pairs:
-        product, mask = chi * chi_prime, chi_prime.mask
-        sigmas = tuple(s for s in odd[chi] if (mask & s.mask).bit_count() & 1)
-        table.append(Relation(chi, chi_prime, None if product.is_trivial() else product, sigmas))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def relations(n: int) -> tuple[Relation, ...]:
-    """One relation per unordered pair of nontrivial characters, diagonal
-    included, in lexicographic pair order: 2^(n-1) (2^n - 1) rows."""
-    return _rows(n, itertools.combinations_with_replacement(nontrivial_characters(n), 2))
-
-
 @lru_cache(maxsize=None)
 def generating_relations(n: int) -> tuple[Relation, ...]:
-    """G(n), the 2^n - 1 rows (c, e) of :func:`relations` with e of weight one
-    and c <= e, in table order: each generator diagonal (e, e), and (chi.h, h)
-    for every chi of weight >= 2, h its highest generator.  f(chi, chi') = L_chi
-    + L_chi' - L_{chi.chi'} - D_{chi,chi'} is a 2-cocycle in any abelian group
-    (Pardini 1991), so data that holds on G(n) holds on every row."""
-    chars = nontrivial_characters(n)
-    weight_one = [e for e in chars if e.mask.bit_count() == 1]
-    return _rows(n, ((c, e) for c in chars for e in weight_one if c.mask <= e.mask))
+    """G(n), the 2^n - 1 rows (c, e), e of weight one and c <= e, in table order:
+    each generator diagonal (e, e), and (chi.h, h) for every chi of weight >= 2,
+    h its highest generator.  chi(sigma) = -1 exactly when the masks of chi
+    and sigma share an odd number of bits."""
+    chars, elements = nontrivial_characters(n), nontrivial_elements(n)
+    rows = []
+    for c in chars:
+        odd = [s for s in elements if (c.mask & s.mask).bit_count() & 1]
+        for e in (e for e in chars if e.mask.bit_count() == 1 and c.mask <= e.mask):
+            sigmas = tuple(s for s in odd if e.mask & s.mask)
+            rows.append(Relation(c, e, None if c == e else c * e, sigmas))
+    return tuple(rows)
+
+
+def cocycle_failures(n: int, defects: Sequence, zero: Any, add, neg) -> list[tuple[Any, ...]]:
+    """Each pair (chi, chi', f) with a nonzero defect f, in table order, by the
+    module docstring's identity from ``defects``: f on each row of G(n), ``zero``
+    where it holds.  ``add`` and ``neg`` run only on pairs that meet d or delta."""
+    if all(f == zero for f in defects):
+        return []
+    d, delta = {}, {}
+    for r, f in zip(generating_relations(n), defects):
+        if r.product is None:  # the diagonal (e, e)
+            d[r.chi.mask] = f
+        else:  # the row (chi.h, h) of chi = r.product
+            delta[r.product.mask] = add(delta.get(r.chi.mask, zero), neg(f))
+    d, delta = ({x: v for x, v in m.items() if v != zero} for m in (d, delta))
+    carries, chars, failing = reduce(operator.or_, d, 0), nontrivial_characters(n), []
+    for a in range(1, 1 << n):
+        for b in range(a, 1 << n):
+            if a & b & carries or a in delta or b in delta or a ^ b in delta:
+                terms = [d[e] for e in d if a & b & e] + [delta[x] for x in (a, b) if x in delta]
+                f = reduce(add, terms + [neg(delta[a ^ b])] if a ^ b in delta else terms)
+                if f != zero:
+                    failing.append((chars[a - 1], chars[b - 1], f))
+    return failing
 
 
 class RelationFailure(NamedTuple):
@@ -271,10 +281,8 @@ class VerificationReport(NamedTuple):
 
 
 def verify_relations(bd: BuildingData) -> VerificationReport:
-    """Decide every unordered pair of nontrivial characters, diagonal included,
-    and list the failing ones in lexicographic order.  The data is immutable,
-    so the check runs once per instance; later calls read the memo
-    :attr:`BuildingData.verification`."""
+    """Decide every pair of nontrivial characters, diagonal included, and list the
+    failing ones in table order, once per instance: :attr:`BuildingData.verification`."""
     return bd.verification
 
 
@@ -326,15 +334,10 @@ def derive_from_generators(
 ) -> BuildingData:
     """Complete ``generators``, the k weight-one classes (k in 1..8), to full data.
 
-    Every other class is forced by a non-diagonal row (chi.e, e) of
-    :func:`generating_relations`, e the highest generator in chi:
-
-        L_chi = L_e + L_{chi.e} - sum of D_sigma over the sigma
-                with e(sigma) = (chi.e)(sigma) = -1.
-
-    These rows hold by construction, so the completed data fails a relation
-    only if a generator diagonal 2 L_e == sum of D_sigma over e(sigma) = -1
-    fails: a ConsistencyError names those, else any zero class.
+    Every other class L_chi is set by G's row (chi.e, e), e the highest
+    generator in chi, so delta = 0 in the module docstring's identity: the
+    completed data fails a relation only where a generator diagonal fails.  A
+    ConsistencyError names those, else any zero class.
     """
     k = len(generators)
     chars = nontrivial_characters(k)  # a ValueError unless 1 <= k <= 8

@@ -30,14 +30,13 @@ r <= 2, so the search keeps one point per tuple of lines <(m/ℓ)·P>.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .abgroup import GroupElement
 from .characters import Character
-from .cover import BuildingData, Fiber, Relation, generating_relations, relations, verify_relations
+from .cover import BuildingData, Fiber, cocycle_failures, generating_relations, verify_relations
 
 MAX_EXHAUSTIVE_PRIME = 10_000
 ATTEMPTS = 400  # draws of free-generator images before find_assignment gives up
@@ -276,23 +275,21 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
     def add(u: tuple, v: tuple) -> tuple:
         return u[0] + v[0], u[1] + v[1], curve.add(u[2], v[2])
 
+    def neg(u: tuple) -> tuple:
+        return -u[0], -u[1], curve.negate(u[2])
+
     def component(fiber: Fiber) -> tuple:
         if fiber.kind == "F":
             return 0, 1, realized[fiber.label]
         return 1, 0, INFINITY
 
     zero = (0, 0, INFINITY)
-    L = {
-        chi: (cls.a, cls.degree, _image(curve, assignment, cls.pic0))
-        for chi, cls in bd.L.items()
-    }
+    L = {chi: (cls.a, cls.degree, _image(curve, assignment, cls.pic0)) for chi, cls in bd.L.items()}
     D = {sigma: reduce(add, map(component, bd.branch(sigma)), zero) for sigma in bd.elements}
-
-    def failures(table: tuple[Relation, ...]) -> tuple[tuple[Character, Character], ...]:
-        return tuple((r.chi, r.chi_prime) for r in table if operator.ne(*r.sides(L, D, zero, add)))
-
-    # The curve's arithmetic is an abelian group too, so G decides here as in the model.
-    relation_failures = failures(generating_relations(bd.n)) and failures(relations(bd.n))
+    # The curve's arithmetic is an abelian group too, so G's defects give every failing pair.
+    sides = (r.sides(L, D, zero, add) for r in generating_relations(bd.n))
+    defects = [zero if lhs == rhs else add(lhs, neg(rhs)) for lhs, rhs in sides]
+    relation_failures = tuple((a, b) for a, b, _ in cocycle_failures(bd.n, defects, zero, add, neg))
     injective = not collisions
     ok = torsion_faithful and injective and not relation_failures
     pairs = 2 ** (bd.n - 1) * (2**bd.n - 1)

@@ -34,6 +34,8 @@ def documents():
         # L00001 shifted by the last torsion generator: the 45 pairs that
         # hold it in one slot or as their product fail.
         "mutant_etale5": next(single_torsion_mutations(construct_etale(5)))[2],
+        # L00000001 shifted the same way: 381 pairs fail, listed from G(8)'s defects.
+        "mutant_etale8": next(single_torsion_mutations(construct_etale(8)))[2],
     }
 
 

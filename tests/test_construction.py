@@ -12,7 +12,7 @@ from z2covers.construction import (
     render_relations_table,
     single_torsion_mutations,
 )
-from z2covers.cover import relations, verify_relations, verify_smoothness
+from z2covers.cover import generating_relations, verify_relations, verify_smoothness
 from z2covers.picard import SurfaceClass
 from z2covers.serialize import dumps
 
@@ -139,8 +139,8 @@ class TestMutationSensitivity:
 
 
 def right_hand_class(bd, row):
-    """The class of ``row``'s right-hand side, evaluated from ``cover.relations(3)``."""
-    (r,) = [r for r in relations(3) if [f"L{r.chi_prime}", f"L{r.chi}"] == row["lhs"]]
+    """The class of ``row``'s right-hand side, evaluated from the rows of G(3)."""
+    (r,) = [r for r in generating_relations(3) if [f"L{r.chi_prime}", f"L{r.chi}"] == row["lhs"]]
     branch = {sigma: bd.branch_class_of(sigma) for sigma in bd.elements}
     return r.sides(bd.L, branch, SurfaceClass.zero(bd.group_spec))[1]
 

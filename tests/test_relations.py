@@ -1,11 +1,13 @@
-"""The relation table and its consumers, against brute-force references.
+"""The relation rows G(n) and their consumers, against brute-force references.
 
 Every reference below is written straight from the sign pairing: it walks
 all character pairs and all group elements, and it does not read
-:func:`z2covers.cover.relations`.
+:func:`z2covers.cover.generating_relations`.
 """
 
 import itertools
+import operator
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +29,9 @@ from z2covers.cover import (
     ConsistencyError,
     Fiber,
     branch_class,
+    cocycle_failures,
     derive_from_generators,
     generating_relations,
-    relations,
     verify_relations,
 )
 from z2covers.curve_oracle import (
@@ -123,51 +125,23 @@ def assert_matches_reference(bd):
     assert report.ok == (not failures and not trivial)
 
 
-# -- the table itself ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
-def test_table_lists_every_pair_once_with_its_branch_elements(n):
-    chars, elements = nontrivial_characters(n), nontrivial_elements(n)
-    table = relations(n)
-    assert len(table) == 2 ** (n - 1) * (2**n - 1)
-    assert [(r.chi, r.chi_prime) for r in table] == list(
-        itertools.combinations_with_replacement(chars, 2)
-    )
-    # pair() is called once per (character, element); each character's -1
-    # set is a bitset over the positions in the element order.
-    minus = {
-        chi: sum(1 << i for i, s in enumerate(elements) if pair(chi, s) == -1) for chi in chars
-    }
-    position = {s: i for i, s in enumerate(elements)}
-    for r in table:
-        product = r.chi * r.chi_prime
-        assert r.product == (None if product.is_trivial() else product)
-        places = [position[s] for s in r.sigmas]
-        assert places == sorted(set(places))
-        assert sum(1 << i for i in places) == minus[r.chi] & minus[r.chi_prime]
+# -- the rows of G(n) -----------------------------------------------------------
 
 
 def test_the_table_never_calls_the_pairing(monkeypatch):
     def refuse(chi, sigma):
-        raise AssertionError("relations(n) called pair()")
+        raise AssertionError("generating_relations(n) called pair()")
 
     monkeypatch.setattr(characters, "pair", refuse)
     monkeypatch.setattr(cover, "pair", refuse, raising=False)
     with pytest.raises(AssertionError):
         characters.pair(nontrivial_characters(2)[0], nontrivial_elements(2)[0])
-    relations.cache_clear()
     generating_relations.cache_clear()
     try:
-        table, rows = relations(6), generating_relations(6)
+        rows = generating_relations(6)
     finally:
-        relations.cache_clear()
         generating_relations.cache_clear()
-    assert len(table) == 2016 and len(rows) == 63
-
-
-def test_table_is_built_once_per_n():
-    assert relations(3) is relations(3)
+    assert len(rows) == 63
 
 
 # -- verify_relations against the all-pairs reference -------------------------
@@ -181,9 +155,12 @@ def building_data(draw):
     fibers, pairs of rational fibers over p and 2h - p), and with t a
     homomorphism from the characters into the 2-torsion,
     L_chi = sum of H_sigma over chi(sigma) = -1, plus t(chi), satisfies every
-    relation.  Half of the draws then shift one class by a nonzero 2-torsion
-    element, which breaks every pair of that character with another one.
-    Returns the data and whether it was shifted.
+    relation.  Half of the draws then shift one to three classes, each by a
+    nonzero 2-torsion element or, when the rank is positive, by a free
+    generator or its negative.  One shifted class breaks every pair of that
+    character with another one; several may keep every relation, when the
+    shifts add up to a homomorphism.  Returns the data and the number of
+    classes shifted.
     """
     n = draw(st.integers(2, 4))
     torsion = tuple(draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=2)))
@@ -221,12 +198,18 @@ def building_data(draw):
             if pair(chi, sigma) == -1:
                 cls = cls + half[sigma]
         L[chi] = cls
-    shifted = draw(st.booleans())
-    if shifted:
-        chi = draw(st.sampled_from(nontrivial_characters(n)))
-        shift = draw(st.sampled_from([t for t in two_torsion if not t.is_zero()]))
+    shifted = []
+    if draw(st.booleans()):
+        shifted = draw(st.lists(st.sampled_from(nontrivial_characters(n)), min_size=1,
+                                max_size=3, unique=True))
+    for chi in shifted:
+        if rank and draw(st.booleans()):
+            g = spec.free_generator(draw(st.integers(0, rank - 1)))
+            shift = draw(st.sampled_from([g, -g]))
+        else:
+            shift = draw(st.sampled_from([t for t in two_torsion if not t.is_zero()]))
         L[chi] = L[chi] + SurfaceClass(0, 0, shift)
-    return BuildingData(spec, points_c, tuple(points_p1), L, D), shifted
+    return BuildingData(spec, points_c, tuple(points_p1), L, D), len(shifted)
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,7 +217,8 @@ def building_data(draw):
 def test_verify_relations_matches_the_all_pairs_reference(case):
     bd, shifted = case
     assert_matches_reference(bd)
-    assert bool(verify_relations(bd).failures) == shifted
+    if shifted < 2:  # shifts of several classes can add up to a homomorphism
+        assert bool(verify_relations(bd).failures) == bool(shifted)
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,6 +250,18 @@ def test_etale_data_and_its_mutants_match_the_reference(k):
     for _, _, mutant in itertools.islice(single_torsion_mutations(bd), 0, 4 * 2**k, 2**k):
         assert_matches_reference(mutant)
         assert not verify_relations(mutant).ok
+
+
+@pytest.mark.parametrize("chi", ["000001", "000011", "111111"])
+def test_etale6_with_one_class_shifted_matches_the_reference(chi):
+    """A generator's shift spreads delta over half the characters, a weight-2
+    class's over one, and 111111 is the last row of G."""
+    bd = construct_etale(6)
+    chi = Character.from_string(chi)
+    shift = SurfaceClass(0, 0, bd.group_spec.torsion_generator(0))
+    mutant = bd._replace(L={**bd.L, chi: bd.L[chi] + shift})
+    assert_matches_reference(mutant)
+    assert not verify_relations(mutant).ok
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -350,10 +346,60 @@ def test_the_completion_runs_exactly_the_non_diagonal_rows_of_g(bd, monkeypatch)
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_generating_relations_are_the_rows_of_g_in_table_order(n):
-    table = {(r.chi, r.chi_prime): r for r in relations(n)}
+    """Each row carries the product of its pair, None when trivial, and the
+    sigma with chi(sigma) = chi'(sigma) = -1 in element order, by the pairing."""
     rows = generating_relations(n)
     assert [(r.chi, r.chi_prime) for r in rows] == sorted(generator_rows(n))
-    assert all(r == table[r.chi, r.chi_prime] for r in rows)
+    assert generating_relations(n) is rows
+    for r in rows:
+        product = r.chi * r.chi_prime
+        assert r.product == (None if product.is_trivial() else product)
+        assert r.sigmas == tuple(s for s in nontrivial_elements(n)
+                                 if pair(r.chi, s) == pair(r.chi_prime, s) == -1)
+
+
+def integer_defect(L, D, chi, chi_prime):
+    """f(chi, chi') for integer classes: ``L`` by character, ``D`` by element."""
+    both = sum(D[s] for s in D if pair(chi, s) == pair(chi_prime, s) == -1)
+    return L[chi] + L[chi_prime] - L.get(chi * chi_prime, 0) - both
+
+
+def assert_cocycle_failures_match_all_pairs(n, L, D):
+    defects = [integer_defect(L, D, r.chi, r.chi_prime) for r in generating_relations(n)]
+    expected = []
+    for a, b in itertools.combinations_with_replacement(nontrivial_characters(n), 2):
+        if f := integer_defect(L, D, a, b):
+            expected.append((a, b, f))
+    assert cocycle_failures(n, defects, 0, operator.add, operator.neg) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cocycle_failures_list_every_nonzero_integer_defect(n):
+    """In the integers, with L and D drawn at random, the failures derived from
+    G's rows are the nonzero defects of the all-pairs table, in its order."""
+    rng = random.Random(n)
+    L = {chi: rng.randint(-3, 3) for chi in nontrivial_characters(n)}
+    D = {s: rng.randint(0, 2) for s in nontrivial_elements(n)}
+    assert_cocycle_failures_match_all_pairs(n, L, D)
+
+
+@pytest.mark.parametrize("mask", [0b0001, 0b0110, 0b1111])
+def test_cocycle_failures_of_one_shifted_integer_class(mask):
+    """Accepting integer data (even D, L_chi half the D_sigma with chi(sigma) = -1)
+    with one class moved by 1: only pairs that meet the shift fail."""
+    rng = random.Random(mask)
+    D = {s: 2 * rng.randint(0, 2) for s in nontrivial_elements(4)}
+    L = {chi: sum(D[s] for s in D if pair(chi, s) == -1) // 2 for chi in nontrivial_characters(4)}
+    assert_cocycle_failures_match_all_pairs(4, L, D)
+    L[nontrivial_characters(4)[mask - 1]] += 1
+    assert_cocycle_failures_match_all_pairs(4, L, D)
+
+
+def test_cocycle_failures_do_no_arithmetic_when_g_holds():
+    def refuse(*args):
+        raise AssertionError("arithmetic on defects that all vanish")
+
+    assert cocycle_failures(4, [0] * 15, 0, refuse, refuse) == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -499,29 +545,45 @@ def test_invariants_still_refuse_data_that_fails_the_relations(relation_evaluati
         compute_invariants(mutant)
     with pytest.raises(ValueError):
         compute_invariants(mutant)
-    assert len(relation_evaluations) == 7 + 28  # G, then the full table, once
+    assert len(relation_evaluations) == 7  # G, once; its defects list the failures
 
 
 def test_accepting_data_never_builds_the_full_table(relation_evaluations):
-    """Each check of accepted data evaluates the 2^k - 1 rows of G, once, and
-    never builds relations(n): not in verify, realize or table."""
+    """Each check of accepted data evaluates the 2^k - 1 rows of G, once: in
+    verify, realize and table."""
 
     def check(run, n):
         relation_evaluations.clear()
         run()
         assert relation_evaluations == sorted(generator_rows(n))
 
-    relations.cache_clear()
-    try:
-        check(lambda: verify_report(construct_etale(8)), 8)
-        check(lambda: verify_report(construct_family(64)), 3)
-        bd = construct_family(3)
+    check(lambda: verify_report(construct_etale(8)), 8)
+    check(lambda: verify_report(construct_family(64)), 3)
+    bd = construct_family(3)
+    assignment = find_assignment(bd, CURVE)
+    check(lambda: relations_table(construct_family(3)), 3)
+    check(lambda: realize(bd, CURVE, assignment), 3)
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_failing_data_evaluate_only_the_rows_of_g(k, relation_evaluations):
+    """The first single-torsion mutant of family n = 3 and of etale k = 8 shifts
+    the class of the last generator by a torsion generator the assignment keeps
+    off O, so the curve fails the model's pairs; verify and realize each list
+    them from the 2^k - 1 rows of G alone."""
+    bd = construct_family(3) if k == 3 else construct_etale(8)
+    _, shift, mutant = next(single_torsion_mutations(bd))
+    if k == 3:
         assignment = find_assignment(bd, CURVE)
-        check(lambda: relations_table(construct_family(3)), 3)
-        check(lambda: realize(bd, CURVE, assignment), 3)
-        assert relations.cache_info().currsize == 0
-    finally:
-        relations.cache_clear()
+    else:  # the curve holds no (Z/2)^8: the shifted generator goes to (0, 0), the rest to O
+        assignment = Assignment((), (INFINITY,) * 7 + ((0, 0),))
+        assert shift.tors == (0,) * 7 + (1,)
+    for run in (lambda: verify_report(mutant), lambda: realize(mutant, CURVE, assignment)):
+        relation_evaluations.clear()
+        run()
+        assert relation_evaluations == sorted(generator_rows(k))
+    assert realize(mutant, CURVE, assignment).relation_failures == tuple(
+        (f.chi, f.chi_prime) for f in verify_relations(mutant).failures)
 
 
 def test_a_changed_copy_is_checked_afresh():

@@ -27,7 +27,7 @@ from z2covers import (
     verify_relations,
     verify_smoothness,
 )
-from z2covers.cover import relations
+from z2covers.cover import generating_relations
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def values():
     cls = bd.L[Character.from_string("100")]
     found = [
         bd.group_spec, cls.pic0, cls, bd.D[CoverElement.from_string("100")][0],
-        relations(3)[0], verify_relations(mutant).failures[0], verify_relations(bd),
+        generating_relations(3)[0], verify_relations(mutant).failures[0], verify_relations(bd),
         verify_smoothness(bd), assignment, realize(bd, curve, assignment),
         compute_invariants(bd), canonical_map_degree(bd), map_analysis(cls), bd,
         Character.from_string("100"), CoverElement.from_string("100"),
