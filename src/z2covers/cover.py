@@ -12,18 +12,17 @@ the defect of every pair of nontrivial characters vanishes:
 L of the trivial character read as 0; chi = chi' gives the "diagonal" relations.
 f is a symmetric 2-cocycle in any abelian group, so one that vanishes on the
 2^n - 1 rows of :func:`generating_relations`, G(n), vanishes everywhere
-(Pardini 1991).  With d_e = f(e, e) for each generator e, and delta 0 on the
-generators and the trivial character and delta_chi = delta_{chi.h} - f(chi.h, h)
-along G (h the highest generator in chi), G's defects give every pair's:
+(Pardini 1991).  Let L' be the completion of the generators along G's other
+rows (:func:`complete`), delta = L - L' and d_e = f(e, e) for each generator
+e.  Then every pair's defect is
 
     f(a, b) = sum of d_e over the e in both a and b + delta_a + delta_b - delta_{a.b}.
 
-Proof: delta = L - L', L' the completion of the generators along G's other
-rows.  The defect of L' and the carry sum, a cocycle too, agree on G, hence
+Proof: the defect of L' and the carry sum, a cocycle too, agree on G, hence
 everywhere; L and L' share D, so f adds delta_a + delta_b - delta_{a.b} to it.
-The verifier and the curve oracle evaluate G and list every failing pair by
-:func:`cocycle_failures`; the completion runs G forwards.  :class:`BuildingData`
-(n read from its characters) is the one gate for shape.
+The verifier, the curve oracle and :func:`derive_from_generators` run the one
+completion, and :func:`cocycle_failures` lists every failing pair from it.
+:class:`BuildingData` (n read from its characters) is the one gate for shape.
 
 Branch components here are always whole fibers of one of the two rulings,
 held as the file holds them: a :class:`Fiber` of kind "E" or "F" and the
@@ -176,27 +175,26 @@ class BuildingData(_BuildingDataFields):
         fibers = [fiber for sigma in self.elements for fiber in self.branch(sigma)]
         return branch_class(fibers, self.points_c, self.group_spec)
 
+    @property
+    def pair_count(self) -> int:
+        """2^(n-1) (2^n - 1), the pairs of nontrivial characters, diagonal included."""
+        return 2 ** (self.n - 1) * (2**self.n - 1)
+
+    def class_sum(self, classes: Sequence[SurfaceClass]) -> SurfaceClass:
+        """The sum of ``classes`` by one sum in the group model; the empty sum is zero."""
+        pic0 = self.group_spec.sum(c.pic0 for c in classes)
+        return SurfaceClass(sum(c.a for c in classes), sum(c.degree for c in classes), pic0)
+
     @cached_property
     def verification(self) -> VerificationReport:
-        """The report of :func:`verify_relations`, computed once per instance: each
-        side of a row of G is totalled by one sum, and only a failing row forms a class."""
-        spec, zero = self.group_spec, SurfaceClass.zero(self.group_spec)
-        L = {chi: (cls,) for chi, cls in self.L.items()}
-        branch = {sigma: (self.branch_class_of(sigma),) for sigma in self.elements}
-
-        def total(side: tuple[SurfaceClass, ...]) -> tuple[int, int, GroupElement]:
-            pic0 = spec.sum(c.pic0 for c in side)
-            return sum(c.a for c in side), sum(c.degree for c in side), pic0
-
-        sides = (map(total, r.sides(L, branch, ())) for r in generating_relations(self.n))
-        defects = [zero if lhs == rhs else SurfaceClass(*lhs) - SurfaceClass(*rhs)
-                   for lhs, rhs in sides]
-        failing = cocycle_failures(self.n, defects, zero, operator.add, operator.neg)
+        """The report of :func:`verify_relations`, computed once per instance: one
+        sum per row of G and per branch class, and a class per failing pair."""
+        minus_b = {sigma: -self.branch_class_of(sigma) for sigma in self.elements}
+        failing = cocycle_failures(self.n, self.L, minus_b, self.class_sum, operator.neg)
         failed = tuple(RelationFailure(a, b, lhs := self.L[a] + self.L[b], lhs - f)
                        for a, b, f in failing)
         trivial = tuple(chi for chi in self.characters if self.L[chi].is_zero())
-        ok = not failed and not trivial
-        return VerificationReport(ok, 2 ** (self.n - 1) * (2**self.n - 1), failed, trivial)
+        return VerificationReport(not failed and not trivial, self.pair_count, failed, trivial)
 
 
 class Relation(NamedTuple):
@@ -207,15 +205,6 @@ class Relation(NamedTuple):
     chi_prime: Character
     product: Character | None
     sigmas: tuple[CoverElement, ...]
-
-    def branch_sum(self, D: Mapping, start: Any, add=operator.add) -> Any:
-        return reduce(add, (D[sigma] for sigma in self.sigmas), start)
-
-    def sides(self, L: Mapping, D: Mapping, zero: Any, add=operator.add) -> tuple[Any, Any]:
-        """(lhs, rhs) in the arithmetic of the values of L and D, whose sum is
-        ``add``.  The class of the trivial character reads as ``zero``."""
-        rhs = self.branch_sum(D, zero if self.product is None else L[self.product], add)
-        return add(L[self.chi], L[self.chi_prime]), rhs
 
 
 @lru_cache(maxsize=None)
@@ -234,25 +223,37 @@ def generating_relations(n: int) -> tuple[Relation, ...]:
     return tuple(rows)
 
 
-def cocycle_failures(n: int, defects: Sequence, zero: Any, add, neg) -> list[tuple[Any, ...]]:
+def complete(n: int, L: Mapping, minus_b: Mapping, total) -> dict:
+    """L', the completion along G(n): L on the generators, and each other chi from
+    G's row (chi.h, h) in table order, L'_chi = total([L'_{chi.h}, L_h, -B_sigma...]).
+    ``minus_b`` maps each nontrivial element sigma to -B_sigma, and ``total`` sums a
+    list in the arithmetic of the values.  Only the generators of ``L`` are read."""
+    completed = dict(L)
+    for r in generating_relations(n):  # the row completing chi.h comes before (chi.h, h)
+        if r.product is not None:
+            terms = [completed[r.chi], completed[r.chi_prime], *(minus_b[s] for s in r.sigmas)]
+            completed[r.product] = total(terms)
+    return completed
+
+
+def cocycle_failures(n: int, L: Mapping, minus_b: Mapping, total, neg) -> list[tuple[Any, ...]]:
     """Each pair (chi, chi', f) with a nonzero defect f, in table order, by the
-    module docstring's identity from ``defects``: f on each row of G(n), ``zero``
-    where it holds.  ``add`` and ``neg`` run only on pairs that meet d or delta."""
-    if all(f == zero for f in defects):
+    module docstring's identity: d_e from the generator diagonals of G(n) and
+    delta = L - L' from :func:`complete`, with ``minus_b`` and ``total`` as there.
+    ``neg`` runs only where delta is nonzero, and the pair loop only where d or
+    delta is."""
+    zero, completed = total(()), complete(n, L, minus_b, total)
+    d = {r.chi.mask: f for r in generating_relations(n) if r.product is None
+         if (f := total([L[r.chi], L[r.chi], *(minus_b[s] for s in r.sigmas)])) != zero}
+    delta = {chi.mask: total([L[chi], neg(v)]) for chi, v in completed.items() if L[chi] != v}
+    if not d and not delta:
         return []
-    d, delta = {}, {}
-    for r, f in zip(generating_relations(n), defects):
-        if r.product is None:  # the diagonal (e, e)
-            d[r.chi.mask] = f
-        else:  # the row (chi.h, h) of chi = r.product
-            delta[r.product.mask] = add(delta.get(r.chi.mask, zero), neg(f))
-    d, delta = ({x: v for x, v in m.items() if v != zero} for m in (d, delta))
     carries, chars, failing = reduce(operator.or_, d, 0), nontrivial_characters(n), []
     for a in range(1, 1 << n):
         for b in range(a, 1 << n):
             if a & b & carries or a in delta or b in delta or a ^ b in delta:
                 terms = [d[e] for e in d if a & b & e] + [delta[x] for x in (a, b) if x in delta]
-                f = reduce(add, terms + [neg(delta[a ^ b])] if a ^ b in delta else terms)
+                f = total(terms + [neg(delta[a ^ b])] if a ^ b in delta else terms)
                 if f != zero:
                     failing.append((chars[a - 1], chars[b - 1], f))
     return failing
@@ -334,10 +335,10 @@ def derive_from_generators(
 ) -> BuildingData:
     """Complete ``generators``, the k weight-one classes (k in 1..8), to full data.
 
-    Every other class L_chi is set by G's row (chi.e, e), e the highest
-    generator in chi, so delta = 0 in the module docstring's identity: the
-    completed data fails a relation only where a generator diagonal fails.  A
-    ConsistencyError names those, else any zero class.
+    Every other class L_chi is set by :func:`complete`, so delta = 0 in the
+    module docstring's identity: the completed data fails a relation only where
+    a generator diagonal fails.  A ConsistencyError names those, else any zero
+    class.
     """
     k = len(generators)
     chars = nontrivial_characters(k)  # a ValueError unless 1 <= k <= 8
@@ -348,13 +349,8 @@ def derive_from_generators(
     # keys other than the nontrivial elements are dropped, not refused.
     branch = {sigma: branch.get(sigma, ()) for sigma in nontrivial_elements(k)}
     draft = BuildingData(group_spec, points_c, points_p1, dict.fromkeys(chars, zero), branch)
-    branch_classes = {sigma: draft.branch_class_of(sigma) for sigma in draft.elements}
-    # The row (chi.e, e) comes after the row that completes chi.e, so one
-    # pass over G in table order fills every class.
-    L = dict(generators)
-    for r in generating_relations(k):
-        if r.product is not None:
-            L[r.product] = L[r.chi] + L[r.chi_prime] - r.branch_sum(branch_classes, zero)
+    minus_b = {sigma: -draft.branch_class_of(sigma) for sigma in draft.elements}
+    L = complete(k, generators, minus_b, draft.class_sum)
 
     bd = draft._replace(L=L)
     report = verify_relations(bd)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .abgroup import GroupElement
 from .characters import Character
-from .cover import BuildingData, Fiber, cocycle_failures, generating_relations, verify_relations
+from .cover import BuildingData, Fiber, cocycle_failures, verify_relations
 
 MAX_EXHAUSTIVE_PRIME = 10_000
 ATTEMPTS = 400  # draws of free-generator images before find_assignment gives up
@@ -278,22 +278,22 @@ def realize(bd: BuildingData, curve: CurveOverFp, assignment: Assignment) -> Rea
     def neg(u: tuple) -> tuple:
         return -u[0], -u[1], curve.negate(u[2])
 
+    def total(terms) -> tuple:
+        return reduce(add, terms, (0, 0, INFINITY))
+
     def component(fiber: Fiber) -> tuple:
         if fiber.kind == "F":
             return 0, 1, realized[fiber.label]
         return 1, 0, INFINITY
 
-    zero = (0, 0, INFINITY)
     L = {chi: (cls.a, cls.degree, _image(curve, assignment, cls.pic0)) for chi, cls in bd.L.items()}
-    D = {sigma: reduce(add, map(component, bd.branch(sigma)), zero) for sigma in bd.elements}
-    # The curve's arithmetic is an abelian group too, so G's defects give every failing pair.
-    sides = (r.sides(L, D, zero, add) for r in generating_relations(bd.n))
-    defects = [zero if lhs == rhs else add(lhs, neg(rhs)) for lhs, rhs in sides]
-    relation_failures = tuple((a, b) for a, b, _ in cocycle_failures(bd.n, defects, zero, add, neg))
+    minus_b = {sigma: neg(total(map(component, bd.branch(sigma)))) for sigma in bd.elements}
+    # The curve's arithmetic is an abelian group too, so its completion gives every failing pair.
+    relation_failures = tuple((a, b) for a, b, _ in cocycle_failures(bd.n, L, minus_b, total, neg))
     injective = not collisions
     ok = torsion_faithful and injective and not relation_failures
-    pairs = 2 ** (bd.n - 1) * (2**bd.n - 1)
-    return RealizationReport(ok, pairs, relation_failures, injective, collisions, torsion_faithful)
+    return RealizationReport(ok, bd.pair_count, relation_failures, injective, collisions,
+                             torsion_faithful)
 
 
 def find_assignment(bd: BuildingData, curve: CurveOverFp) -> Assignment:

@@ -7,6 +7,7 @@ writes each document to a file named after it in the current directory:
 """
 
 from z2covers.construction import construct_etale, construct_family, single_torsion_mutations
+from z2covers.picard import SurfaceClass
 from z2covers.serialize import dumps
 
 
@@ -15,6 +16,7 @@ def documents():
     family3 = construct_family(3)
     mutants = list(single_torsion_mutations(family3))
     points = family3.points_c
+    chi001, free0 = family3.characters[0], family3.group_spec.free_generator(0)
     return {
         "family3": family3,
         "mutant3": mutants[0][2],
@@ -29,6 +31,11 @@ def documents():
         # F1_1 given F1's class: the registry is checked whole, so two registered
         # points of one class fail smoothness though no fiber names F1_1.
         "f11_as_f1": family3._replace(points_c={**points, "F1_1": points["F1"]}),
+        # L001 shifted by the first free generator: the defects d and delta are
+        # both nonzero and of infinite order, so the failing classes read their signs.
+        "free_shift3": family3._replace(L={
+            **family3.L, chi001: family3.L[chi001] + SurfaceClass(0, 0, free0)
+        }),
         "etale3": construct_etale(3),
         "etale8": construct_etale(8),
         # L00001 shifted by the last torsion generator: the 45 pairs that

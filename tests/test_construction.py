@@ -141,8 +141,8 @@ class TestMutationSensitivity:
 def right_hand_class(bd, row):
     """The class of ``row``'s right-hand side, evaluated from the rows of G(3)."""
     (r,) = [r for r in generating_relations(3) if [f"L{r.chi_prime}", f"L{r.chi}"] == row["lhs"]]
-    branch = {sigma: bd.branch_class_of(sigma) for sigma in bd.elements}
-    return r.sides(bd.L, branch, SurfaceClass.zero(bd.group_spec))[1]
+    start = SurfaceClass.zero(bd.group_spec) if r.product is None else bd.L[r.product]
+    return sum((bd.branch_class_of(sigma) for sigma in r.sigmas), start)
 
 
 class TestRelationsTable:

@@ -407,9 +407,11 @@ def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     assert len(built) <= 5 and set(built) <= {0}  # the root parser and its 4 subparsers
 
 
-@pytest.mark.parametrize("n", [3, 22])
-def test_each_relation_is_decided_by_one_sum(n, monkeypatch):
-    bd = construct_family(n)
+@pytest.mark.parametrize(
+    "bd", [construct_family(3), construct_family(22)] + [construct_etale(k) for k in (1, 5, 8)],
+    ids=["3", "22", "etale1", "etale5", "etale8"],
+)
+def test_each_relation_is_decided_by_one_sum(bd, monkeypatch):
     sums = 0
     original = GroupSpec.sum
 
@@ -420,31 +422,32 @@ def test_each_relation_is_decided_by_one_sum(n, monkeypatch):
 
     monkeypatch.setattr(GroupSpec, "sum", counting_sum)
     report = verify_relations(bd)
-    assert report.ok and report.pairs_checked == 28
-    assert sums == 7 + 2 * 7  # one per branch class, then one per side of each row of G
+    assert report.ok and report.pairs_checked == 2 ** (bd.n - 1) * (2**bd.n - 1)
+    # one per branch class, one per row of G, then the zero class: 15 at n = 3, 511 at n = 8
+    assert sums == (2**bd.n - 1) + (2**bd.n - 1) + 1
 
 
 @pytest.mark.parametrize("n", [3, 200])
 def test_the_table_forms_the_verifiers_branch_classes_and_d111_alone(n, monkeypatch):
     bd = construct_family(n)
-    formed, evaluated = 0, 0
-    branch_class_of, branch_sum = BuildingData.branch_class_of, cover.Relation.branch_sum
+    formed, completions = 0, 0
+    branch_class_of, complete = BuildingData.branch_class_of, cover.complete
 
     def counting_class(self, sigma):
         nonlocal formed
         formed += 1
         return branch_class_of(self, sigma)
 
-    def counting_sum(self, *args, **kwargs):
-        nonlocal evaluated
-        evaluated += 1
-        return branch_sum(self, *args, **kwargs)
+    def counting_complete(*args):
+        nonlocal completions
+        completions += 1
+        return complete(*args)
 
     monkeypatch.setattr(BuildingData, "branch_class_of", counting_class)
-    monkeypatch.setattr(cover.Relation, "branch_sum", counting_sum)
+    monkeypatch.setattr(cover, "complete", counting_complete)
     assert all(row["equal"] for row in relations_table(bd))
     assert formed == 7 + 1  # one per D_sigma in the verifier, then D_111 for the table's unit
-    assert evaluated == 7  # each row of G once, all of them in the verifier
+    assert completions == 1  # G's rows once, all of them in the verifier
 
 
 def test_the_shared_parser_answers_like_a_fresh_process(tmp_path, monkeypatch, capsys):

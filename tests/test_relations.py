@@ -323,15 +323,17 @@ def assert_fails_only_on_a_row_of_g(bd):
     ids=[f"etale{k}" for k in range(1, 6)] + ["family3"],
 )
 def test_the_completion_runs_exactly_the_non_diagonal_rows_of_g(bd, monkeypatch):
-    forwards = []
-    branch_sum = cover.Relation.branch_sum
+    """Each completion sums each non-diagonal row (chi.h, h) of G once, in table
+    order: L'_{chi.h}, L_h and the sigma with chi.h(sigma) = h(sigma) = -1."""
+    completions = []
+    complete = cover.complete
 
-    def recorded(self, D, start, *args):
-        if isinstance(start, SurfaceClass):  # a verifier side is a tuple of classes, one sum
-            forwards.append((self.chi, self.chi_prime))
-        return branch_sum(self, D, start, *args)
+    def recorded(n, L, minus_b, total):
+        sums = []
+        completions.append(sums)
+        return complete(n, L, minus_b, lambda terms: sums.append(len(terms)) or total(terms))
 
-    monkeypatch.setattr(cover.Relation, "branch_sum", recorded)
+    monkeypatch.setattr(cover, "complete", recorded)
     derive_from_generators(
         generators(bd),
         dict(bd.D),
@@ -339,9 +341,31 @@ def test_the_completion_runs_exactly_the_non_diagonal_rows_of_g(bd, monkeypatch)
         points_c=dict(bd.points_c),
         points_p1=bd.points_p1,
     )
-    rows = generator_rows(bd.n)
-    assert len(rows) == 2**bd.n - 1
-    assert sorted(forwards) == sorted((chi, h) for chi, h in rows if chi != h)
+    rows = sorted((chi, h) for chi, h in generator_rows(bd.n) if chi != h)
+    assert len(rows) == 2**bd.n - 1 - bd.n
+    elements = nontrivial_elements(bd.n)
+    both = [sum(pair(chi, s) == pair(h, s) == -1 for s in elements) for chi, h in rows]
+    # derive_from_generators completes the generators, then its verifier completes them again
+    assert completions == [[2 + m for m in both]] * 2
+
+
+ACCEPTED = [construct_family(n, [c] * n) for n in (2, 3, 8, 39) for c in range(4)]
+ACCEPTED += [construct_etale(k) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize(
+    "bd", ACCEPTED,
+    ids=[f"family{n}_halving{c}" for n in (2, 3, 8, 39) for c in range(4)]
+    + [f"etale{k}" for k in range(1, 9)],
+)
+def test_completing_the_generators_of_accepted_data_gives_back_its_classes(bd):
+    """On data the pair-by-pair reference accepts, L' = L: delta vanishes."""
+    if bd.n <= 3:
+        assert reference_verify(bd)[1] == []
+    zero = SurfaceClass.zero(bd.group_spec)
+    minus_b = {sigma: -bd.branch_class_of(sigma) for sigma in bd.elements}
+    completed = cover.complete(bd.n, generators(bd), minus_b, lambda terms: sum(terms, zero))
+    assert completed == dict(bd.L)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -365,12 +389,12 @@ def integer_defect(L, D, chi, chi_prime):
 
 
 def assert_cocycle_failures_match_all_pairs(n, L, D):
-    defects = [integer_defect(L, D, r.chi, r.chi_prime) for r in generating_relations(n)]
     expected = []
     for a, b in itertools.combinations_with_replacement(nontrivial_characters(n), 2):
         if f := integer_defect(L, D, a, b):
             expected.append((a, b, f))
-    assert cocycle_failures(n, defects, 0, operator.add, operator.neg) == expected
+    minus_b = {s: -v for s, v in D.items()}
+    assert cocycle_failures(n, L, minus_b, sum, operator.neg) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -396,10 +420,13 @@ def test_cocycle_failures_of_one_shifted_integer_class(mask):
 
 
 def test_cocycle_failures_do_no_arithmetic_when_g_holds():
+    """Accepting integer data as above: L = L', so no delta is formed."""
     def refuse(*args):
-        raise AssertionError("arithmetic on defects that all vanish")
+        raise AssertionError("a negation where every defect vanishes")
 
-    assert cocycle_failures(4, [0] * 15, 0, refuse, refuse) == []
+    D = {s: 2 * (s.mask % 3) for s in nontrivial_elements(4)}
+    L = {chi: sum(D[s] for s in D if pair(chi, s) == -1) // 2 for chi in nontrivial_characters(4)}
+    assert cocycle_failures(4, L, {s: -v for s, v in D.items()}, sum, refuse) == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -522,21 +549,30 @@ def test_the_oracle_fails_exactly_the_relations_the_model_fails(p, case):
 
 @pytest.fixture
 def relation_evaluations(monkeypatch):
+    """(n, rows summed) for each call of :func:`z2covers.cover.complete`, through
+    which every check reads the relations: G(n)'s 2^n - 1 - n non-diagonal rows."""
     calls = []
-    sides = cover.Relation.sides
+    complete = cover.complete
 
-    def counted(self, *args, **kwargs):
-        calls.append((self.chi, self.chi_prime))
-        return sides(self, *args, **kwargs)
+    def counted(n, L, minus_b, total):
+        sums = []
+        result = complete(n, L, minus_b, lambda terms: sums.append(None) or total(terms))
+        calls.append((n, len(sums)))
+        return result
 
-    monkeypatch.setattr(cover.Relation, "sides", counted)
+    monkeypatch.setattr(cover, "complete", counted)
     return calls
+
+
+def one_completion(n):
+    """One completion along G(n), as :func:`relation_evaluations` records it."""
+    return [(n, 2**n - 1 - n)]
 
 
 def test_one_verify_report_runs_the_pair_loop_once(relation_evaluations):
     report = verify_report(construct_family(3))
     assert report["invariants"] is not None and report["canonical_map"]["degree"] == 8
-    assert relation_evaluations == sorted(generator_rows(3))  # the 7 rows of G, in table order
+    assert relation_evaluations == one_completion(3)  # the rows of G, once
 
 
 def test_invariants_still_refuse_data_that_fails_the_relations(relation_evaluations):
@@ -545,7 +581,7 @@ def test_invariants_still_refuse_data_that_fails_the_relations(relation_evaluati
         compute_invariants(mutant)
     with pytest.raises(ValueError):
         compute_invariants(mutant)
-    assert len(relation_evaluations) == 7  # G, once; its defects list the failures
+    assert relation_evaluations == one_completion(3)  # G, once; its completion lists the failures
 
 
 def test_accepting_data_never_builds_the_full_table(relation_evaluations):
@@ -555,7 +591,7 @@ def test_accepting_data_never_builds_the_full_table(relation_evaluations):
     def check(run, n):
         relation_evaluations.clear()
         run()
-        assert relation_evaluations == sorted(generator_rows(n))
+        assert relation_evaluations == one_completion(n)
 
     check(lambda: verify_report(construct_etale(8)), 8)
     check(lambda: verify_report(construct_family(64)), 3)
@@ -581,7 +617,7 @@ def test_failing_data_evaluate_only_the_rows_of_g(k, relation_evaluations):
     for run in (lambda: verify_report(mutant), lambda: realize(mutant, CURVE, assignment)):
         relation_evaluations.clear()
         run()
-        assert relation_evaluations == sorted(generator_rows(k))
+        assert relation_evaluations == one_completion(k)
     assert realize(mutant, CURVE, assignment).relation_failures == tuple(
         (f.chi, f.chi_prime) for f in verify_relations(mutant).failures)
 
