@@ -56,11 +56,6 @@ class _BitVector:
     def bits(self) -> tuple[int, ...]:
         return tuple((self.mask >> i) & 1 for i in reversed(range(self.n)))
 
-    def _xor(self, other):
-        if self.n != other.n:
-            raise ValueError("vectors of different Z_2^n cannot be combined")
-        return self._of(self.n, self.mask ^ other.mask)
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -90,11 +85,6 @@ class _BitVector:
 class CoverElement(_BitVector):
     """Element (a_1, ..., a_n) of Z_2^n."""
 
-    __add__ = _BitVector._xor
-
-    def is_zero(self) -> bool:
-        return not self.mask
-
 
 def pair(chi: Character, sigma: CoverElement) -> int:
     """Evaluate chi(sigma); the result is +1 or -1."""
@@ -106,29 +96,25 @@ def pair(chi: Character, sigma: CoverElement) -> int:
 class Character(_BitVector):
     """Character (j_1, ..., j_n) of Z_2^n, acting by chi(a) = (-1)^<j,a>."""
 
-    __mul__ = _BitVector._xor
-
-    def is_trivial(self) -> bool:
-        return not self.mask
+    def __mul__(self, other: Character) -> Character:
+        if self.n != other.n:
+            raise ValueError("vectors of different Z_2^n cannot be combined")
+        return self._of(self.n, self.mask ^ other.mask)
 
 
 @lru_cache(maxsize=None)
-def _vectors(cls: type, n: int, first: int) -> tuple:
-    """The vectors of Z_2^n with masks first .. 2^n - 1, in lexicographic bit order."""
+def _vectors(cls: type, n: int) -> tuple:
+    """The 2^n - 1 nonzero vectors of Z_2^n, in lexicographic bit order."""
     _check_n(n)
-    return tuple(cls._of(n, mask) for mask in range(first, 1 << n))
+    return tuple(cls._of(n, mask) for mask in range(1, 1 << n))
 
 
 def nontrivial_characters(n: int) -> tuple[Character, ...]:
     """The 2^n - 1 nonzero characters, in lexicographic bit order."""
-    return _vectors(Character, n, 1)
+    return _vectors(Character, n)
 
 
 def nontrivial_elements(n: int) -> tuple[CoverElement, ...]:
     """The 2^n - 1 nonzero group elements, in lexicographic bit order."""
-    return _vectors(CoverElement, n, 1)
+    return _vectors(CoverElement, n)
 
-
-def elements(n: int) -> tuple[CoverElement, ...]:
-    """All 2^n group elements including zero, in lexicographic bit order."""
-    return _vectors(CoverElement, n, 0)

@@ -41,7 +41,7 @@ import operator
 import sys
 from collections import Counter
 from collections.abc import Mapping
-from typing import Any, Callable
+from typing import Any
 
 from .abgroup import GroupElement, GroupSpec
 from .characters import Character, CoverElement
@@ -86,10 +86,6 @@ def _array(value: Any, what: str) -> list:
     return value
 
 
-def element_to_dict(element: GroupElement) -> dict[str, Any]:
-    return {"free": list(element.free), "tors": list(element.tors)}
-
-
 def element_from_dict(doc: Any, spec: GroupSpec) -> GroupElement:
     doc = _object(doc, "group element", _ELEMENT_KEYS)
     free = _array(doc["free"], "free")
@@ -117,7 +113,7 @@ def plain(verdict: Any) -> Any:
     string, a named tuple by field name (so a surface class as in the file), a mapping with
     string keys, any other tuple as a list."""
     if type(verdict) is GroupElement:
-        return element_to_dict(verdict)
+        return {"free": list(verdict.free), "tors": list(verdict.tors)}
     if isinstance(verdict, (Character, CoverElement)):
         return str(verdict)
     if isinstance(verdict, Mapping):
@@ -127,31 +123,6 @@ def plain(verdict: Any) -> Any:
             return {name: plain(value) for name, value in zip(verdict._fields, verdict)}
         return [plain(value) for value in verdict]
     return verdict
-
-
-def _document(bd: BuildingData, element: Callable[[GroupElement], Any]) -> dict[str, Any]:
-    """The document tree, with each group element as ``element`` renders it."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "group_spec": {
-            "rank": bd.group_spec.rank,
-            "torsion": list(bd.group_spec.torsion_orders),
-        },
-        "points_c": {label: element(aj) for label, aj in bd.points_c.items()},
-        "points_p1": list(bd.points_p1),
-        "L": {
-            str(chi): {"a": cls.a, "degree": cls.degree, "pic0": element(cls.pic0)}
-            for chi, cls in bd.L.items()
-        },
-        "D": {
-            str(sigma): [{"kind": fiber.kind, "label": fiber.label} for fiber in fibers]
-            for sigma, fibers in bd.D.items()
-        },
-    }
-
-
-def building_data_to_dict(bd: BuildingData) -> dict[str, Any]:
-    return _document(bd, element_to_dict)
 
 
 def building_data_from_dict(doc: Any) -> BuildingData:
@@ -261,7 +232,24 @@ def canonical_json(value: Any) -> str:
 
 
 def dumps(bd: BuildingData) -> str:
-    return canonical_json(_document(bd, lambda element: element))
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "group_spec": {
+            "rank": bd.group_spec.rank,
+            "torsion": list(bd.group_spec.torsion_orders),
+        },
+        "points_c": dict(bd.points_c),
+        "points_p1": list(bd.points_p1),
+        "L": {
+            str(chi): {"a": cls.a, "degree": cls.degree, "pic0": cls.pic0}
+            for chi, cls in bd.L.items()
+        },
+        "D": {
+            str(sigma): [{"kind": fiber.kind, "label": fiber.label} for fiber in fibers]
+            for sigma, fibers in bd.D.items()
+        },
+    }
+    return canonical_json(doc)  # _encode writes each GroupElement itself
 
 
 def _refuse(token: str) -> None:

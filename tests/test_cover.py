@@ -19,7 +19,7 @@ from z2covers.cover import (
     verify_smoothness,
 )
 from z2covers.picard import SurfaceClass
-from z2covers.serialize import building_data_to_dict, dumps
+from z2covers.serialize import dumps
 
 
 def chi(s):
@@ -429,7 +429,7 @@ class TestBuildingDataShape:
         d[sigma("011")] = (fiber,)
         with pytest.raises(ValueError):
             bd._replace(D=d)
-        doc = building_data_to_dict(bd)
+        doc = json.loads(dumps(bd))
         doc["D"]["011"] = [{"kind": fiber.kind, "label": fiber.label}]
         path = tmp_path / "unregistered.bd.json"
         path.write_text(json.dumps(doc))
@@ -449,12 +449,45 @@ class TestBuildingDataShape:
         zero = SurfaceClass.zero(bd.group_spec)
         with pytest.raises(ValueError, match=message):
             BuildingData(bd.group_spec, {}, (), {chi(k): zero for k in keys}, {})
-        doc = building_data_to_dict(bd)
+        doc = json.loads(dumps(bd))
         doc["L"] = {k: doc["L"]["100"] for k in keys}
         path = tmp_path / "characters.bd.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 3
         assert capsys.readouterr().err == f"error: malformed building data: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda doc: doc["points_p1"].append(doc["points_p1"][0]),
+                "duplicate labels among rational-curve points",
+            ),
+            (
+                lambda doc: doc["D"].update({"000": []}),
+                "branch divisors must be indexed by nontrivial group elements",
+            ),
+        ],
+        ids=["repeated-p1-label", "zero-branch-key"],
+    )
+    def test_a_file_with_a_repeated_label_or_a_zero_branch_key_exits_3(
+        self, edit, message, tmp_path, capsys
+    ):
+        """The first tests to reach BuildingData's refusals at cover.py:124 and :138."""
+        doc = json.loads(dumps(construct_family(3)))
+        edit(doc)
+        path = tmp_path / "refused.bd.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: malformed building data: {message}\n"
+
+    def test_a_point_of_another_group_model_is_refused(self):
+        """The first test to reach BuildingData's refusal at cover.py:121; a file
+        cannot reach it, since one document parses every point in one model."""
+        bd = construct_family(2)
+        points_c = {**bd.points_c, "F1": GroupSpec(1, (2, 2)).zero()}
+        with pytest.raises(ValueError, match="^point 'F1' lives in a different group model$"):
+            bd._replace(points_c=points_c)
 
     @pytest.mark.parametrize("key", [str, sigma], ids=["string", "CoverElement"])
     def test_classes_keyed_by_anything_but_characters_are_refused(self, key):

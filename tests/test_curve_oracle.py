@@ -265,6 +265,19 @@ class TestRealization:
         with pytest.raises(ValueError, match="is not on"):
             realize(self.bd, curve, bad)
 
+    @pytest.mark.parametrize("side", ["free_points", "torsion_points"])
+    def test_an_assignment_one_image_short_is_an_error(self, side):
+        """The first test to reach realize's shape refusals at curve_oracle.py:257
+        (free images) and :259 (torsion images)."""
+        spec = self.bd.group_spec
+        count, kind = {
+            "free_points": (spec.rank, "free"),
+            "torsion_points": (len(spec.torsion_orders), "torsion"),
+        }[side]
+        short = self.assignment._replace(**{side: getattr(self.assignment, side)[:-1]})
+        with pytest.raises(ValueError, match=f"^need {count} {kind}-generator images$"):
+            realize(self.bd, self.curve, short)
+
     def test_small_cyclic_factor_is_refused(self):
         small = CurveOverFp(11, -1, 0)
         with pytest.raises(ValueError):
@@ -582,6 +595,15 @@ class TestTorsionSearch:
         with pytest.raises(ValueError, match=EMBED):
             find_assignment(construct_family(3), curve)
         assert len(searched) <= 1
+
+    def test_a_torsion_order_with_no_point_on_the_curve_is_refused(self, searched):
+        """The first test to reach find_assignment's refusal at curve_oracle.py:330:
+        y^2 = x^3 - x over F_1039 has 1040 = 2^4 * 5 * 13 points, none of order 3."""
+        curve = CurveOverFp(1039, -1, 0)
+        assert curve.order() == 1040
+        with pytest.raises(ValueError, match="^curve has no point of order 3$"):
+            find_assignment(one_character((3,)), curve)
+        assert searched == []
 
     @pytest.mark.parametrize("p, a, b, extra, embeds", [
         *((2003, -1, 0, extra, True) for extra in [(3,), (6,), (2, 3)]),

@@ -171,7 +171,8 @@ def test_group_sum_refuses_another_group():
 
 
 def reference_dumps(bd):
-    return json.dumps(serialize.building_data_to_dict(bd), sort_keys=True, indent=2) + "\n"
+    """The standard encoder's text of the parsed document; ``loads`` checks its content."""
+    return json.dumps(json.loads(serialize.dumps(bd)), sort_keys=True, indent=2) + "\n"
 
 
 def relabel(bd, suffix):

@@ -9,6 +9,7 @@ from test_cover import nodal_double_cover
 from test_relations import building_data
 from z2covers.abgroup import GroupSpec
 from z2covers.characters import Character, CoverElement, nontrivial_characters, pair
+from z2covers.cli import verify_report
 from z2covers.construction import construct_etale, construct_family
 from z2covers import invariants
 from z2covers.cover import BuildingData, Fiber, branch_class, verify_relations, verify_smoothness
@@ -116,6 +117,32 @@ def single_contributor_with_ramification_correction():
         torsion = c.bits[0] * t1 + c.bits[1] * t1 + c.bits[2] * t2
         L[c] = SurfaceClass(a, 0, torsion)
     return BuildingData(spec, {}, fibers, L, branch)
+
+
+def single_contributor_with_a_curve_image():
+    """Accepted Z_2^2 data whose lone contributing class K_Y + L_11 has a = 0.
+
+    D_01 is four elliptic fibers, D_10 six fibers over points of C that sum
+    to zero, and D_11 is empty, so 11 fixes no branched element.  The
+    2-torsion eta in L_01 = 2E + eta leaves 01 without sections.  Then
+    |K_Y + L_11| = |3F + eta| is pulled back from C, and the canonical image
+    is a curve.
+    """
+    spec = GroupSpec(5, (2,))
+    eta = spec.torsion_generator(0)
+    free = [spec.free_generator(i) for i in range(5)]
+    points_c = {**{f"F{i + 1}": x for i, x in enumerate(free)}, "F6": -spec.sum(free)}
+    fibers = ("E1", "E2", "E3", "E4")
+    branch = {
+        sigma("01"): tuple(Fiber("E", p) for p in fibers),
+        sigma("10"): tuple(Fiber("F", p) for p in points_c),
+    }
+    L = {
+        chi("01"): SurfaceClass(2, 0, eta),
+        chi("10"): SurfaceClass(0, 3, spec.zero()),
+        chi("11"): SurfaceClass(2, 3, eta),
+    }
+    return BuildingData(spec, points_c, fibers, L, branch)
 
 
 def contributing(bd):
@@ -249,6 +276,15 @@ class TestCanonicalMapDegree:
         assert report.factors_through_cover is True
         assert report.degree is None
         assert "ramification" in report.note
+
+    def test_a_lone_class_constant_along_the_rational_curve_maps_onto_a_curve(self):
+        """The first test to reach canonical_map_degree's "canonical image is not a
+        surface" (invariants.py:156), on data the verify gate accepts."""
+        bd = single_contributor_with_a_curve_image()
+        assert contributing(bd) == ["11"] and compute_invariants(bd).p_g == 3
+        expected = CanonicalMapReport(True, None, None, True, note="canonical image is not a surface")
+        assert canonical_map_degree(bd) == expected == reference_canonical_map_degree(bd)
+        assert verify_report(bd)["canonical_map"]["note"] == "canonical image is not a surface"
 
     def test_small_genus_rejected(self):
         with pytest.raises(ValueError):
